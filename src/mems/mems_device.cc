@@ -13,12 +13,16 @@ MemsDevice::MemsDevice(const MemsParams& params)
       kinematics_(SledAxisParams{params.sled_accel_ms2, params.half_range_m(),
                                  params.spring_factor, params.spring_coeff()}),
       v_access_(params.access_velocity()),
-      row_pass_s_(params.row_pass_seconds()) {
-  Reset();
+      row_pass_s_(params.row_pass_seconds()),
+      grid_keys_(2 * (params.rows_per_track() + 1)),
+      y_leg_memo_(static_cast<size_t>(grid_keys_) * static_cast<size_t>(grid_keys_), -1.0),
+      x_leg_memo_(static_cast<size_t>(params.cylinders())) {
+  Reset();  // advances the epoch past the memo's initial stamps
 }
 
 void MemsDevice::Reset() {
   sled_ = SledState{0.0, 0.0, 0.0};
+  sled_key_ = kOffGrid;  // centred at rest: not a row boundary in motion
   activity_ = DeviceActivity{};
   seek_error_rng_ = Rng(seek_error_seed_);
   ++state_epoch_;  // only ever advances, so stale cached estimates die
@@ -40,14 +44,21 @@ TimeMs MemsDevice::TurnaroundMs(double y) const {
   return SecondsToMs(kinematics_.TurnaroundSeconds(y, v_access_));
 }
 
-double MemsDevice::EntryY(const Segment& seg, int dir) const {
-  return dir > 0 ? geometry_.RowBoundaryY(seg.row_first)
-                 : geometry_.RowBoundaryY(seg.row_last + 1);
+double MemsDevice::GridYLegSeconds(int from_key, int to_key) const {
+  double& ty = y_leg_memo_[static_cast<size_t>(from_key) * static_cast<size_t>(grid_keys_) +
+                           static_cast<size_t>(to_key)];
+  if (ty < 0.0) {
+    ty = kinematics_.TravelSeconds(KeyY(from_key), KeyVy(from_key), KeyY(to_key),
+                                   KeyVy(to_key));
+  }
+  return ty;
 }
 
-double MemsDevice::ExitY(const Segment& seg, int dir) const {
-  return dir > 0 ? geometry_.RowBoundaryY(seg.row_last + 1)
-                 : geometry_.RowBoundaryY(seg.row_first);
+double MemsDevice::SledYLegSeconds(int to_key) const {
+  if (sled_key_ != kOffGrid) {
+    return GridYLegSeconds(sled_key_, to_key);
+  }
+  return kinematics_.TravelSeconds(sled_.y, sled_.vy, KeyY(to_key), KeyVy(to_key));
 }
 
 std::vector<MemsDevice::Segment> MemsDevice::SplitIntoSegments(int64_t lbn,
@@ -81,8 +92,8 @@ double MemsDevice::PositioningSeconds(const SledState& state, const Segment& seg
   if (target_x != state.x) {
     tx = kinematics_.SeekSeconds(state.x, target_x) + geometry_.params().settle_seconds();
   }
-  const double ty = kinematics_.TravelSeconds(state.y, state.vy, EntryY(seg, dir),
-                                              dir * v_access_);
+  const int entry = EntryKey(seg, dir);
+  const double ty = kinematics_.TravelSeconds(state.y, state.vy, KeyY(entry), KeyVy(entry));
   return std::max(tx, ty);
 }
 
@@ -112,10 +123,8 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
     x_seek0_s = kinematics_.SeekSeconds(sled_.x, target_x0);
     tx0 = x_seek0_s + settle_s;
   }
-  const double ty0_up =
-      kinematics_.TravelSeconds(sled_.y, sled_.vy, EntryY(segments[0], +1), +v_access_);
-  const double ty0_down =
-      kinematics_.TravelSeconds(sled_.y, sled_.vy, EntryY(segments[0], -1), -v_access_);
+  const double ty0_up = SledYLegSeconds(EntryKey(segments[0], +1));
+  const double ty0_down = SledYLegSeconds(EntryKey(segments[0], -1));
   const double pos_up = std::max(tx0, ty0_up);
   const double pos_down = std::max(tx0, ty0_down);
   int dir = pos_up <= pos_down ? +1 : -1;
@@ -130,17 +139,17 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   // Seek-error retry (§6.1.3): the servo check fails and the sled backs up
   // over the sector — up to two turnarounds plus an X re-settle.
   if (seek_error_rate_ > 0.0 && seek_error_rng_.Bernoulli(seek_error_rate_)) {
-    const double entry_y = EntryY(segments[0], dir);
+    const int entry = EntryKey(segments[0], dir);
     const double retry_s =
-        2.0 * kinematics_.TurnaroundSeconds(entry_y, dir * v_access_) + settle_s;
+        2.0 * kinematics_.TurnaroundSeconds(KeyY(entry), KeyVy(entry)) + settle_s;
     positioning_s += retry_s;
     phase_s[static_cast<int>(Phase::kOverhead)] += retry_s;
   }
 
-  SledState state;
-  state.x = target_x0;
-  state.y = ExitY(segments[0], dir);
-  state.vy = dir * v_access_;
+  // Every segment ends on a row boundary, so each mid-transfer Y leg is
+  // between grid states.
+  double x = target_x0;
+  int key = ExitKey(segments[0], dir);
 
   double transfer_s =
       (segments[0].row_last - segments[0].row_first + 1) * row_pass_s_;
@@ -152,16 +161,14 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
     double x_seek_s = 0.0;
     double tx = 0.0;
     const double target_x = geometry_.CylinderX(seg.cylinder);
-    if (target_x != state.x) {
-      x_seek_s = kinematics_.SeekSeconds(state.x, target_x);
+    if (target_x != x) {
+      x_seek_s = kinematics_.SeekSeconds(x, target_x);
       tx = x_seek_s + settle_s;
     }
     // Greedy direction choice; for full-track segments this degenerates to
     // the serpentine turnaround.
-    const double ty_up =
-        kinematics_.TravelSeconds(state.y, state.vy, EntryY(seg, +1), +v_access_);
-    const double ty_down =
-        kinematics_.TravelSeconds(state.y, state.vy, EntryY(seg, -1), -v_access_);
+    const double ty_up = GridYLegSeconds(key, EntryKey(seg, +1));
+    const double ty_down = GridYLegSeconds(key, EntryKey(seg, -1));
     dir = ty_up <= ty_down ? +1 : -1;
     const double ty = std::min(ty_up, ty_down);
     extra_s += std::max(tx, ty);
@@ -172,14 +179,14 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
       phase_s[static_cast<int>(Phase::kTurnaround)] += ty;
     }
 
-    state.x = target_x;
-    state.y = ExitY(seg, dir);
-    state.vy = dir * v_access_;
+    x = target_x;
+    key = ExitKey(seg, dir);
     transfer_s += (seg.row_last - seg.row_first + 1) * row_pass_s_;
   }
   phase_s[static_cast<int>(Phase::kTransfer)] = transfer_s;
 
-  sled_ = state;
+  sled_ = SledState{x, KeyY(key), KeyVy(key)};
+  sled_key_ = key;
   ++state_epoch_;
 
   const double positioning_ms = SecondsToMs(positioning_s);
@@ -227,27 +234,26 @@ TimeMs MemsDevice::EstimatePositioningMs(const Request& req, TimeMs at_ms) const
 }
 
 void MemsDevice::EstimatePositioningBatch(const Request* reqs, int64_t count,
-                                          TimeMs at_ms, double* out_ms) const {
+                                          TimeMs at_ms, TimeMs* out_ms) const {
   (void)at_ms;
   // The X leg (seek + settle) depends only on the target cylinder while the
-  // sled state is fixed, so it is memoized across the batch; the scalar path
-  // recomputes it twice per request (once per candidate Y direction). Same
-  // expressions as PositioningSeconds, so results are bit-identical.
-  std::vector<double> tx_memo(static_cast<size_t>(geometry_.params().cylinders()), -1.0);
+  // sled state is fixed, so it is memoized per epoch; the Y legs come from the
+  // grid memo. Same expressions as PositioningSeconds, so results are
+  // bit-identical.
   const double settle_s = geometry_.params().settle_seconds();
   for (int64_t i = 0; i < count; ++i) {
     const Segment seg = FirstSegment(reqs[i]);
-    double& tx = tx_memo[static_cast<size_t>(seg.cylinder)];
-    if (tx < 0.0) {
+    XLeg& leg = x_leg_memo_[static_cast<size_t>(seg.cylinder)];
+    if (leg.epoch != state_epoch_) {
       const double target_x = geometry_.CylinderX(seg.cylinder);
-      tx = target_x != sled_.x
-               ? kinematics_.SeekSeconds(sled_.x, target_x) + settle_s
-               : 0.0;
+      leg.seconds = target_x != sled_.x
+                        ? kinematics_.SeekSeconds(sled_.x, target_x) + settle_s
+                        : 0.0;
+      leg.epoch = state_epoch_;
     }
-    const double ty_up =
-        kinematics_.TravelSeconds(sled_.y, sled_.vy, EntryY(seg, +1), +v_access_);
-    const double ty_down =
-        kinematics_.TravelSeconds(sled_.y, sled_.vy, EntryY(seg, -1), -v_access_);
+    const double tx = leg.seconds;
+    const double ty_up = SledYLegSeconds(EntryKey(seg, +1));
+    const double ty_down = SledYLegSeconds(EntryKey(seg, -1));
     out_ms[i] = SecondsToMs(std::min(std::max(tx, ty_up), std::max(tx, ty_down)));
   }
 }

@@ -13,6 +13,22 @@
 //      LBNs concurrently and takes tip_sector_bits / per_tip_rate. Track and
 //      cylinder switches mid-transfer cost a turnaround overlapped with the
 //      (tiny) X step + settle.
+//
+// Y-leg memo. Between requests the sled always sits on a row boundary moving
+// at +/- access velocity (it just finished reading a segment), and every Y
+// target is a row boundary at +/- access velocity too. Every Y leg the device
+// plans from such a state is therefore a function of (from boundary, from
+// direction, to boundary, to direction), and the device keeps those travel
+// times in a lazily filled table of (2 * (rows_per_track + 1))^2 entries
+// (56 x 56 with the Table 1 geometry). Each entry is the same TravelSeconds
+// call with the same arguments as the direct computation, so memoized and
+// direct results are bit-identical. The sled is off the grid after Reset()
+// (centred, at rest) and after set_sled(); Y legs from such a state are
+// computed directly.
+//
+// Thread safety: the memo tables are mutable caches filled from const
+// estimate methods, so one device's const methods must not be called
+// concurrently. Devices are per-trial, never shared across threads.
 #ifndef MSTK_SRC_MEMS_MEMS_DEVICE_H_
 #define MSTK_SRC_MEMS_MEMS_DEVICE_H_
 
@@ -43,9 +59,11 @@ class MemsDevice : public StorageDevice {
   [[nodiscard]] double ServiceRequest(const Request& req, TimeMs start_ms,
                         ServiceBreakdown* breakdown = nullptr) override;
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override;
-  // Shares the per-cylinder X-seek time across the batch (the X component
-  // depends only on the target cylinder while the sled is at rest between
-  // requests). Bit-identical to the scalar estimate.
+  // Reads both directions' Y legs from the Y-leg memo (when the sled is on
+  // the row-boundary grid) and the X leg from a per-cylinder memo valid for
+  // the current StateEpoch() (the X component depends only on the target
+  // cylinder while the sled is at rest in X). Bit-identical to the scalar
+  // estimate, which stays unmemoized as the independent reference.
   void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
                                 TimeMs* out_ms) const override;
   // No rotation: estimates depend only on the sled state, never on time.
@@ -64,8 +82,11 @@ class MemsDevice : public StorageDevice {
   const MemsGeometry& geometry() const { return geometry_; }
   const SledKinematics& kinematics() const { return kinematics_; }
   const SledState& sled() const { return sled_; }
+  // Arbitrary states are treated as off the row-boundary grid: Y legs from
+  // them bypass the memo.
   void set_sled(const SledState& state) {
     sled_ = state;
+    sled_key_ = kOffGrid;
     ++state_epoch_;
   }
 
@@ -97,9 +118,27 @@ class MemsDevice : public StorageDevice {
   // direction `dir` (+1 ascending rows, -1 descending). Tx/Ty overlap.
   double PositioningSeconds(const SledState& state, const Segment& seg, int dir) const;
 
-  // Entry/exit Y offsets for reading `seg` in direction `dir`.
-  double EntryY(const Segment& seg, int dir) const;
-  double ExitY(const Segment& seg, int dir) const;
+  // A Y state on the row-boundary grid, encoded as 2 * boundary + (dir > 0):
+  // row boundary `boundary` (0..rows_per_track) crossed at dir * v_access_.
+  static constexpr int kOffGrid = -1;
+  static int GridKey(int32_t boundary, int dir) { return 2 * boundary + (dir > 0 ? 1 : 0); }
+  double KeyY(int key) const { return geometry_.RowBoundaryY(key >> 1); }
+  double KeyVy(int key) const { return (key & 1) != 0 ? v_access_ : -v_access_; }
+
+  // Grid states where reading `seg` in direction `dir` (+1 ascending rows,
+  // -1 descending) starts and ends.
+  static int EntryKey(const Segment& seg, int dir) {
+    return dir > 0 ? GridKey(seg.row_first, +1) : GridKey(seg.row_last + 1, -1);
+  }
+  static int ExitKey(const Segment& seg, int dir) {
+    return dir > 0 ? GridKey(seg.row_last + 1, +1) : GridKey(seg.row_first, -1);
+  }
+
+  // Y travel time (seconds) between two grid states, memoized.
+  double GridYLegSeconds(int from_key, int to_key) const;
+  // Y travel time (seconds) from the current sled state to a grid state:
+  // memoized when the sled is on the grid, computed directly otherwise.
+  double SledYLegSeconds(int to_key) const;
 
   MemsGeometry geometry_;
   SledKinematics kinematics_;
@@ -109,6 +148,19 @@ class MemsDevice : public StorageDevice {
   double seek_error_rate_ = 0.0;
   uint64_t seek_error_seed_ = 0;
   Rng seek_error_rng_{seek_error_seed_};
+
+  // Grid key of the sled's Y state, or kOffGrid.
+  int sled_key_ = kOffGrid;
+  int grid_keys_;  // 2 * (rows_per_track + 1)
+  // grid_keys_ x grid_keys_ Y travel times (s), row = from key; < 0 = unfilled.
+  mutable std::vector<double> y_leg_memo_;
+  // Per-cylinder X leg (seek + settle, s) from the sled's X, valid while
+  // `epoch` equals the device's state epoch.
+  struct XLeg {
+    uint64_t epoch = 0;
+    double seconds = 0.0;
+  };
+  mutable std::vector<XLeg> x_leg_memo_;
 };
 
 }  // namespace mstk

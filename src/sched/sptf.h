@@ -9,8 +9,13 @@
 // changes, so repeated Pops against a stationary device re-scan cached
 // costs instead of re-querying the model. Stale entries are refreshed
 // through EstimatePositioningBatch, which lets the device share per-state
-// work (per-cylinder X-seek times) across the whole scan. Selection order
-// is identical to the naive per-request scan.
+// work across the whole scan (the MEMS model memoizes per-cylinder X legs
+// for the current state and Y legs between row boundaries across states;
+// see mems_device.h). Selection order is identical to the naive
+// per-request scan.
+//
+// Device estimate methods may fill mutable caches, so a scheduler and its
+// device belong to one trial on one thread; never share them across threads.
 //
 // AgedSptfScheduler adds the aging term of [WGP94]: effective cost =
 // max(positioning - age_weight * queue_time, 0), trading a little
