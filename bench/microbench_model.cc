@@ -17,8 +17,9 @@ using namespace mstk;
 // Services one random 4 KB request, leaving the sled where it is at every
 // dispatch of a real run: on a row boundary moving at access velocity (a
 // fresh device rests at the centre, off the row-boundary grid, and would
-// bypass the Y-leg memo), in a new state epoch (so the per-cylinder X-leg
-// memo starts empty, as after every service).
+// bypass the Y-leg memo), almost always at a new X (so the per-cylinder
+// X-leg memo, keyed on the sled's X, holds nothing for it, as after most
+// services).
 void ServiceOne(MemsDevice& device, Rng& rng) {
   Request req;
   req.block_count = 8;
@@ -37,6 +38,20 @@ void BM_SledSeekClosedForm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SledSeekClosedForm);
+
+// The same seeks through the full four-candidate plan SeekSeconds must match
+// bit for bit: the gap to BM_SledSeekClosedForm is the single-candidate gain.
+void BM_SledSeekPlanReference(benchmark::State& state) {
+  const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});
+  Rng rng(1);
+  double from = -40e-6;
+  for (auto _ : state) {
+    const double to = rng.Uniform(-50e-6, 50e-6);
+    benchmark::DoNotOptimize(kin.TravelSeconds(from, 0.0, to, 0.0));
+    from = to;
+  }
+}
+BENCHMARK(BM_SledSeekPlanReference);
 
 void BM_SledTravelMovingStart(benchmark::State& state) {
   const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});

@@ -8,11 +8,20 @@
 namespace mstk {
 namespace {
 
+constexpr double kPi = 3.141592653589793;
 constexpr double kTwoPi = 6.283185307179586;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Relative tolerance for on-arc (energy) checks and angle wrapping.
 constexpr double kTol = 1e-9;
+
+// True when two states at radii r0 and r1 (m) about one arc centre are too
+// far apart in energy to lie on the same harmonic arc.
+bool OffArc(double r0, double r1) { return std::abs(r0 - r1) > 1e-6 * (r0 + r1 + 1e-12); }
+
+// Smallest squared switch speed (m^2/s^2) a candidate plan may have; below
+// it the two phases' orbits do not meet.
+constexpr double kMinSwitchSpeed2 = -1e-12;
 
 }  // namespace
 
@@ -25,6 +34,10 @@ SledKinematics::SledKinematics(const SledAxisParams& params) : params_(params) {
     c_ = params_.spring_factor * params_.a_max / params_.p_max;
   }
   omega_ = std::sqrt(c_);
+  if (c_ > 0.0) {
+    seek_total_max_ = 0.99 * kPi / omega_;
+    seek_arc_min_ = 2.0 * kTol / omega_;
+  }
 }
 
 double SledKinematics::LinearArcSeconds(int u, double p0, double v0, double p1,
@@ -51,19 +64,55 @@ double SledKinematics::ArcSeconds(int u, double p0, double v0, double p1,
   const double e = u * params_.a_max / c_;  // equilibrium offset for control u
   const double r0 = std::hypot(p0 - e, v0 / omega_);
   const double r1 = std::hypot(p1 - e, v1 / omega_);
-  if (std::abs(r0 - r1) > 1e-6 * (r0 + r1 + 1e-12)) {
+  if (OffArc(r0, r1)) {
     return kInf;  // states not on the same arc
   }
   if (r0 < 1e-15) {
     return 0.0;  // parked at equilibrium (cannot happen for spring_factor < 1)
   }
-  const double theta0 = std::atan2(-v0 / omega_, p0 - e);
-  const double theta1 = std::atan2(-v1 / omega_, p1 - e);
+  return SweepSeconds(std::atan2(-v0 / omega_, p0 - e), std::atan2(-v1 / omega_, p1 - e));
+}
+
+double SledKinematics::RestArcSeconds(int u, double p_rest, double p, double v,
+                                      bool rest_at_start) const {
+  const double e = u * params_.a_max / c_;
+  const double d_rest = p_rest - e;
+  const double r_rest = std::abs(d_rest);  // hypot(d, +0)
+  const double r = std::hypot(p - e, v / omega_);
+  const double r0 = rest_at_start ? r_rest : r;
+  if (OffArc(r0, rest_at_start ? r : r_rest)) {
+    return kInf;
+  }
+  if (r0 < 1e-15) {
+    return 0.0;
+  }
+  const double theta_rest = std::signbit(d_rest) ? -kPi : -0.0;  // atan2(-0, d)
+  const double theta = std::atan2(-v / omega_, p - e);
+  return rest_at_start ? SweepSeconds(theta_rest, theta) : SweepSeconds(theta, theta_rest);
+}
+
+double SledKinematics::SweepSeconds(double theta0, double theta1) const {
   double dtheta = theta1 - theta0;
   if (dtheta < -kTol) {
     dtheta += kTwoPi;
   }
   return std::max(dtheta, 0.0) / omega_;
+}
+
+void SledKinematics::SwitchPoint(int sigma, double p0, double v0, double p1, double v1,
+                                 double* xs_out, double* vs2_out) const {
+  const double a = params_.a_max;
+  // Spring potential per unit mass: U(p) = c p^2 / 2.
+  const auto potential = [this](double p) { return 0.5 * c_ * p * p; };
+  // Switch position from energy balance between phase 1 (control sigma)
+  // and phase 2 (control -sigma).
+  const double xs = 0.5 * (p0 + p1) +
+                    (v1 * v1 - v0 * v0 + 2.0 * (potential(p1) - potential(p0))) /
+                        (4.0 * sigma * a);
+  // Velocity magnitude at the switch point (energy along phase 1).
+  *vs2_out = v0 * v0 + 2.0 * sigma * a * (xs - p0) -
+             (2.0 * potential(xs) - 2.0 * potential(p0));
+  *xs_out = xs;
 }
 
 SledPlan SledKinematics::Plan(double p0, double v0, double p1, double v1) const {
@@ -74,20 +123,11 @@ SledPlan SledKinematics::Plan(double p0, double v0, double p1, double v1) const 
     return SledPlan{0.0, 0.0, +1, p0, v0, true};
   }
 
-  const double a = params_.a_max;
-  // Spring potential per unit mass: U(p) = c p^2 / 2.
-  const auto potential = [this](double p) { return 0.5 * c_ * p * p; };
-
   for (const int sigma : {+1, -1}) {
-    // Switch position from energy balance between phase 1 (control sigma)
-    // and phase 2 (control -sigma).
-    const double xs = 0.5 * (p0 + p1) +
-                      (v1 * v1 - v0 * v0 + 2.0 * (potential(p1) - potential(p0))) /
-                          (4.0 * sigma * a);
-    // Velocity magnitude at the switch point (energy along phase 1).
-    const double vs2 = v0 * v0 + 2.0 * sigma * a * (xs - p0) -
-                       (2.0 * potential(xs) - 2.0 * potential(p0));
-    if (vs2 < -1e-12) {
+    double xs = 0.0;
+    double vs2 = 0.0;
+    SwitchPoint(sigma, p0, v0, p1, v1, &xs, &vs2);
+    if (vs2 < kMinSwitchSpeed2) {
       continue;
     }
     const double vs_mag = std::sqrt(std::max(vs2, 0.0));
@@ -124,7 +164,39 @@ double SledKinematics::TravelSeconds(double p0, double v0, double p1, double v1)
 }
 
 double SledKinematics::SeekSeconds(double from, double to) const {
-  return TravelSeconds(from, 0.0, to, 0.0);
+  // Plan's only possible winner for a rest-to-rest seek: control toward
+  // `to` (sigma), switching while still moving toward it. The other three
+  // candidates lose to it whenever the checks below pass:
+  //  * both -sigma candidates are dropped by Plan's own vs2 test, which is
+  //    re-run here on the same expression;
+  //  * the candidate switching at the mirrored velocity -vs meets the same
+  //    two orbits at the mirrored phases, so its arcs take 2 pi / omega
+  //    minus ours (an arc can also collapse to 0 through the angle-wrap
+  //    tolerance, which the minimum arc length rules out). With our total
+  //    below half a period it is slower by a wide margin.
+  // Anything else (coincident ends, no spring, an infeasible candidate, a
+  // switch at rest, a long or degenerate plan) takes the full Plan.
+  if (from == to || c_ == 0.0) {
+    return TravelSeconds(from, 0.0, to, 0.0);
+  }
+  const int sigma = to > from ? +1 : -1;
+  double xs_back = 0.0;
+  double vs2_back = 0.0;
+  SwitchPoint(-sigma, from, 0.0, to, 0.0, &xs_back, &vs2_back);
+  double xs = 0.0;
+  double vs2 = 0.0;
+  SwitchPoint(sigma, from, 0.0, to, 0.0, &xs, &vs2);
+  if (!(vs2_back < kMinSwitchSpeed2) || !(vs2 > 0.0)) {
+    return TravelSeconds(from, 0.0, to, 0.0);
+  }
+  const double vs = sigma * std::sqrt(vs2);
+  const double t1 = RestArcSeconds(sigma, from, xs, vs, /*rest_at_start=*/true);
+  const double t2 = RestArcSeconds(-sigma, to, xs, vs, /*rest_at_start=*/false);
+  const double total = t1 + t2;
+  if (!(total < seek_total_max_) || !(t1 > seek_arc_min_) || !(t2 > seek_arc_min_)) {
+    return TravelSeconds(from, 0.0, to, 0.0);
+  }
+  return total;
 }
 
 double SledKinematics::TurnaroundSeconds(double p, double v) const {

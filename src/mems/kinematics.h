@@ -54,7 +54,11 @@ class SledKinematics {
   // Full plan for the fastest trajectory (for tests/telemetry).
   SledPlan Plan(double p0, double v0, double p1, double v1) const;
 
-  // Rest-to-rest seek (the X-dimension case).
+  // Rest-to-rest seek (the X-dimension case). Evaluates a single candidate
+  // plan (control toward `to`, switching while moving toward it) and falls
+  // back to the full Plan whenever it cannot prove that candidate is the
+  // winner, so it returns the same bits as Plan(from, 0, to, 0).t_total at
+  // about half the cost.
   double SeekSeconds(double from, double to) const;
 
   // Velocity reversal in place: (p, v) -> (p, -v). The paper's "turnaround".
@@ -75,12 +79,32 @@ class SledKinematics {
   // to (p1, v1); both states must lie on the same arc (same energy).
   double ArcSeconds(int u, double p0, double v0, double p1, double v1) const;
 
+  // ArcSeconds for an arc with one end at rest at `p_rest` (its start when
+  // `rest_at_start`, else its end) and the other at (p, v). The rest end's
+  // radius and angle are taken in closed form: with a zero velocity term,
+  // hypot(d, +0) is |d| and atan2(-0, d) is -0 or -pi (C99 Annex F), so the
+  // result has ArcSeconds' bits for half its transcendental calls.
+  double RestArcSeconds(int u, double p_rest, double p, double v, bool rest_at_start) const;
+
+  // Time (seconds) to sweep from polar angle theta0 to theta1 (rad) about an
+  // arc centre, wrapping forward by one period when theta1 is behind.
+  double SweepSeconds(double theta0, double theta1) const;
+
   // Same for the springless (constant-acceleration) case.
   double LinearArcSeconds(int u, double p0, double v0, double p1, double v1) const;
+
+  // Switch position and squared switch speed of the single-switch plans
+  // whose first phase uses control `sigma` (energy balance between phases).
+  void SwitchPoint(int sigma, double p0, double v0, double p1, double v1, double* xs_out,
+                   double* vs2_out) const;
 
   SledAxisParams params_;
   double c_;      // spring coefficient, s^-2
   double omega_;  // sqrt(c), rad/s (0 when springless)
+  // SeekSeconds' single-candidate bounds (s): the total must stay under half
+  // a spring period and each arc above the angle-wrap tolerance.
+  double seek_total_max_ = 0.0;
+  double seek_arc_min_ = 0.0;
 };
 
 }  // namespace mstk

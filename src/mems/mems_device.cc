@@ -1,6 +1,7 @@
 #include "src/mems/mems_device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -14,10 +15,16 @@ MemsDevice::MemsDevice(const MemsParams& params)
                                  params.spring_factor, params.spring_coeff()}),
       v_access_(params.access_velocity()),
       row_pass_s_(params.row_pass_seconds()),
+      rows_per_track_(static_cast<uint32_t>(params.rows_per_track())),
+      slots_per_row_(static_cast<uint32_t>(params.slots_per_row())),
+      tracks_per_cylinder_(static_cast<uint32_t>(params.tracks_per_cylinder())),
+      blocks_per_track_(static_cast<uint32_t>(params.blocks_per_track())),
       grid_keys_(2 * (params.rows_per_track() + 1)),
       y_leg_memo_(static_cast<size_t>(grid_keys_) * static_cast<size_t>(grid_keys_), -1.0),
       x_leg_memo_(static_cast<size_t>(params.cylinders())) {
-  Reset();  // advances the epoch past the memo's initial stamps
+  MSTK_CHECK(geometry_.capacity_blocks() <= int64_t{UINT32_MAX},
+             "MEMS capacity must stay below 2^32 blocks (32-bit segment decode)");
+  Reset();
 }
 
 void MemsDevice::Reset() {
@@ -61,28 +68,22 @@ double MemsDevice::SledYLegSeconds(int to_key) const {
   return kinematics_.TravelSeconds(sled_.y, sled_.vy, KeyY(to_key), KeyVy(to_key));
 }
 
-std::vector<MemsDevice::Segment> MemsDevice::SplitIntoSegments(int64_t lbn,
-                                                               int32_t block_count) const {
-  std::vector<Segment> segments;
-  const MemsParams& p = geometry_.params();
-  const int64_t slots = p.slots_per_row();
-  const int64_t rows = p.rows_per_track();
-  const int64_t track_blocks = rows * slots;
-  int64_t remaining_last = lbn + block_count - 1;
-  int64_t cursor = lbn;
-  while (cursor <= remaining_last) {
-    const MemsAddress addr = geometry_.Decode(cursor);
-    // Last LBN of this track (track-aligned arithmetic; serpentine row
-    // order makes Encode of physical row rows-1 the wrong probe).
-    const int64_t track_last = (cursor / track_blocks + 1) * track_blocks - 1;
-    const int64_t seg_last = std::min(track_last, remaining_last);
-    const MemsAddress last_addr = geometry_.Decode(seg_last);
-    segments.push_back(Segment{addr.cylinder, addr.track,
-                               std::min(addr.row, last_addr.row),
-                               std::max(addr.row, last_addr.row)});
-    cursor = seg_last + 1;
+MemsDevice::Segment MemsDevice::TrackSegment(uint32_t lbn, uint32_t last_lbn,
+                                             uint32_t* next_lbn) const {
+  const uint32_t track = blocks_per_track_.Divide(lbn);  // global track
+  const uint32_t track_first = track * blocks_per_track_.value();
+  const uint32_t last_offset =
+      std::min(last_lbn - track_first, blocks_per_track_.value() - 1);
+  *next_lbn = track_first + last_offset + 1;
+  uint32_t row_first = slots_per_row_.Divide(lbn - track_first);
+  uint32_t row_last = slots_per_row_.Divide(last_offset);
+  if ((track & 1u) != 0) {  // serpentine: odd global tracks store rows top-down
+    const uint32_t flipped_last = rows_per_track_ - 1 - row_first;
+    row_first = rows_per_track_ - 1 - row_last;
+    row_last = flipped_last;
   }
-  return segments;
+  return Segment{static_cast<int32_t>(tracks_per_cylinder_.Divide(track)),
+                 static_cast<int32_t>(row_first), static_cast<int32_t>(row_last)};
 }
 
 double MemsDevice::PositioningSeconds(const SledState& state, const Segment& seg,
@@ -103,8 +104,10 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   MSTK_CHECK(req.lbn >= 0 && req.last_lbn() < CapacityBlocks(),
              "request outside device capacity");
 
-  const std::vector<Segment> segments = SplitIntoSegments(req.lbn, req.block_count);
-  assert(!segments.empty());
+  assert(req.block_count > 0);
+  const uint32_t last_lbn = static_cast<uint32_t>(req.last_lbn());
+  uint32_t next_lbn = 0;
+  const Segment first = TrackSegment(static_cast<uint32_t>(req.lbn), last_lbn, &next_lbn);
 
   // Phase attribution (seconds). Overlapped X/Y intervals are charged to the
   // dominant component: positioning = max(Tx, Ty) goes to seek_x + settle
@@ -116,15 +119,15 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   // Initial positioning: pick the cheaper read direction for the first
   // segment. Same expressions as PositioningSeconds, decomposed so the X
   // seek is attributable separately from the settle.
-  const double target_x0 = geometry_.CylinderX(segments[0].cylinder);
+  const double target_x0 = geometry_.CylinderX(first.cylinder);
   double x_seek0_s = 0.0;
   double tx0 = 0.0;
   if (target_x0 != sled_.x) {
     x_seek0_s = kinematics_.SeekSeconds(sled_.x, target_x0);
     tx0 = x_seek0_s + settle_s;
   }
-  const double ty0_up = SledYLegSeconds(EntryKey(segments[0], +1));
-  const double ty0_down = SledYLegSeconds(EntryKey(segments[0], -1));
+  const double ty0_up = SledYLegSeconds(EntryKey(first, +1));
+  const double ty0_down = SledYLegSeconds(EntryKey(first, -1));
   const double pos_up = std::max(tx0, ty0_up);
   const double pos_down = std::max(tx0, ty0_down);
   int dir = pos_up <= pos_down ? +1 : -1;
@@ -139,7 +142,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   // Seek-error retry (§6.1.3): the servo check fails and the sled backs up
   // over the sector — up to two turnarounds plus an X re-settle.
   if (seek_error_rate_ > 0.0 && seek_error_rng_.Bernoulli(seek_error_rate_)) {
-    const int entry = EntryKey(segments[0], dir);
+    const int entry = EntryKey(first, dir);
     const double retry_s =
         2.0 * kinematics_.TurnaroundSeconds(KeyY(entry), KeyVy(entry)) + settle_s;
     positioning_s += retry_s;
@@ -149,14 +152,15 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   // Every segment ends on a row boundary, so each mid-transfer Y leg is
   // between grid states.
   double x = target_x0;
-  int key = ExitKey(segments[0], dir);
+  int key = ExitKey(first, dir);
 
-  double transfer_s =
-      (segments[0].row_last - segments[0].row_first + 1) * row_pass_s_;
+  double transfer_s = (first.row_last - first.row_first + 1) * row_pass_s_;
   double extra_s = 0.0;
 
-  for (size_t i = 1; i < segments.size(); ++i) {
-    const Segment& seg = segments[i];
+  // The remaining segments, one per track, each read after its own X step
+  // and Y reposition.
+  while (next_lbn <= last_lbn) {
+    const Segment seg = TrackSegment(next_lbn, last_lbn, &next_lbn);
     // X step (zero within a cylinder) overlaps the Y reposition.
     double x_seek_s = 0.0;
     double tx = 0.0;
@@ -212,19 +216,6 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   return total_ms;
 }
 
-MemsDevice::Segment MemsDevice::FirstSegment(const Request& req) const {
-  const MemsAddress addr = geometry_.Decode(req.lbn);
-  // Only the first segment matters for the positioning estimate.
-  const int64_t rows = geometry_.params().rows_per_track();
-  const int64_t slots = geometry_.params().slots_per_row();
-  const int64_t track_blocks = rows * slots;
-  const int64_t track_last = (req.lbn / track_blocks + 1) * track_blocks - 1;
-  const int64_t seg_last = std::min(track_last, req.last_lbn());
-  const int32_t other_row = geometry_.Decode(seg_last).row;
-  return Segment{addr.cylinder, addr.track, std::min(addr.row, other_row),
-                 std::max(addr.row, other_row)};
-}
-
 TimeMs MemsDevice::EstimatePositioningMs(const Request& req, TimeMs at_ms) const {
   (void)at_ms;
   const Segment seg = FirstSegment(req);
@@ -236,20 +227,21 @@ TimeMs MemsDevice::EstimatePositioningMs(const Request& req, TimeMs at_ms) const
 void MemsDevice::EstimatePositioningBatch(const Request* reqs, int64_t count,
                                           TimeMs at_ms, TimeMs* out_ms) const {
   (void)at_ms;
-  // The X leg (seek + settle) depends only on the target cylinder while the
-  // sled state is fixed, so it is memoized per epoch; the Y legs come from the
-  // grid memo. Same expressions as PositioningSeconds, so results are
-  // bit-identical.
+  // The X leg (seek + settle) depends only on the sled's X and the target
+  // cylinder, so it is memoized per cylinder under the sled X's bits; the Y
+  // legs come from the grid memo. Same expressions as PositioningSeconds, so
+  // results are bit-identical.
   const double settle_s = geometry_.params().settle_seconds();
+  const uint64_t x_bits = std::bit_cast<uint64_t>(sled_.x);
   for (int64_t i = 0; i < count; ++i) {
     const Segment seg = FirstSegment(reqs[i]);
     XLeg& leg = x_leg_memo_[static_cast<size_t>(seg.cylinder)];
-    if (leg.epoch != state_epoch_) {
+    if (leg.from_x_bits != x_bits) {
       const double target_x = geometry_.CylinderX(seg.cylinder);
       leg.seconds = target_x != sled_.x
                         ? kinematics_.SeekSeconds(sled_.x, target_x) + settle_s
                         : 0.0;
-      leg.epoch = state_epoch_;
+      leg.from_x_bits = x_bits;
     }
     const double tx = leg.seconds;
     const double ty_up = SledYLegSeconds(EntryKey(seg, +1));

@@ -26,12 +26,21 @@
 // (centred, at rest) and after set_sled(); Y legs from such a state are
 // computed directly.
 //
+// X-leg memo. The sled is at rest in X between requests, so a request's X
+// leg (seek + settle) is a function of the sled's X and the target cylinder
+// alone. The device keeps one entry per cylinder, stamped with the bits of
+// the sled X it was computed from; an entry stays valid for as long as the
+// sled's X is unchanged, across services that end on the same cylinder and
+// across Reset(), not just for one dispatch.
+//
 // Thread safety: the memo tables are mutable caches filled from const
 // estimate methods, so one device's const methods must not be called
 // concurrently. Devices are per-trial, never shared across threads.
 #ifndef MSTK_SRC_MEMS_MEMS_DEVICE_H_
 #define MSTK_SRC_MEMS_MEMS_DEVICE_H_
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -60,10 +69,9 @@ class MemsDevice : public StorageDevice {
                         ServiceBreakdown* breakdown = nullptr) override;
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override;
   // Reads both directions' Y legs from the Y-leg memo (when the sled is on
-  // the row-boundary grid) and the X leg from a per-cylinder memo valid for
-  // the current StateEpoch() (the X component depends only on the target
-  // cylinder while the sled is at rest in X). Bit-identical to the scalar
-  // estimate, which stays unmemoized as the independent reference.
+  // the row-boundary grid) and the X leg from the per-cylinder X-leg memo
+  // keyed on the sled's X. Bit-identical to the scalar estimate, which stays
+  // unmemoized as the independent reference.
   void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
                                 TimeMs* out_ms) const override;
   // No rotation: estimates depend only on the sled state, never on time.
@@ -85,6 +93,7 @@ class MemsDevice : public StorageDevice {
   // Arbitrary states are treated as off the row-boundary grid: Y legs from
   // them bypass the memo.
   void set_sled(const SledState& state) {
+    assert(!std::isnan(state.x));
     sled_ = state;
     sled_key_ = kOffGrid;
     ++state_epoch_;
@@ -101,18 +110,45 @@ class MemsDevice : public StorageDevice {
   TimeMs RowPassMs() const { return SecondsToMs(params().row_pass_seconds()); }
 
  private:
-  // A contiguous run of rows within one (cylinder, track).
+  // A contiguous run of physical rows within one (cylinder, track).
   struct Segment {
     int32_t cylinder;
-    int32_t track;
     int32_t row_first;
     int32_t row_last;
   };
 
-  std::vector<Segment> SplitIntoSegments(int64_t lbn, int32_t block_count) const;
+  // Exact quotient n / d of 32-bit values for a divisor fixed at
+  // construction: the high 64 bits of the 128-bit product M * n with
+  // M = ceil(2^64 / d), one multiply instead of a division (Lemire, Kaser
+  // and Kurz, "Faster remainder by direct computation", 2019). M overflows
+  // for d = 1, which returns n itself.
+  class Divisor32 {
+   public:
+    explicit Divisor32(uint32_t d) : d_(d), m_(UINT64_MAX / d + 1) {}
+    uint32_t Divide(uint32_t n) const {
+      return d_ == 1 ? n
+                     : static_cast<uint32_t>((static_cast<unsigned __int128>(m_) * n) >> 64);
+    }
+    uint32_t value() const { return d_; }
+
+   private:
+    uint32_t d_;
+    uint64_t m_;
+  };
+
+  // The rows that a transfer of blocks [lbn, last_lbn] covers in the track
+  // holding `lbn`; *next_lbn is the first block after them. Same rows as
+  // decoding both ends with MemsGeometry::Decode (the serpentine order flips
+  // odd global tracks), in 32-bit arithmetic with multiply-shift division.
+  Segment TrackSegment(uint32_t lbn, uint32_t last_lbn, uint32_t* next_lbn) const;
 
   // First segment only (all the positioning estimate needs).
-  Segment FirstSegment(const Request& req) const;
+  Segment FirstSegment(const Request& req) const {
+    assert(req.lbn >= 0 && req.block_count > 0 && req.last_lbn() < CapacityBlocks());
+    uint32_t next_lbn = 0;
+    return TrackSegment(static_cast<uint32_t>(req.lbn), static_cast<uint32_t>(req.last_lbn()),
+                        &next_lbn);
+  }
 
   // Positioning time (seconds) from `state` to reading segment `seg` in
   // direction `dir` (+1 ascending rows, -1 descending). Tx/Ty overlap.
@@ -145,6 +181,11 @@ class MemsDevice : public StorageDevice {
   SledState sled_;
   double v_access_;     // m/s
   double row_pass_s_;   // s
+  // Layout for TrackSegment (capacity < 2^32 blocks).
+  uint32_t rows_per_track_;
+  Divisor32 slots_per_row_;
+  Divisor32 tracks_per_cylinder_;
+  Divisor32 blocks_per_track_;
   double seek_error_rate_ = 0.0;
   uint64_t seek_error_seed_ = 0;
   Rng seek_error_rng_{seek_error_seed_};
@@ -154,10 +195,11 @@ class MemsDevice : public StorageDevice {
   int grid_keys_;  // 2 * (rows_per_track + 1)
   // grid_keys_ x grid_keys_ Y travel times (s), row = from key; < 0 = unfilled.
   mutable std::vector<double> y_leg_memo_;
-  // Per-cylinder X leg (seek + settle, s) from the sled's X, valid while
-  // `epoch` equals the device's state epoch.
+  // Per-cylinder X leg (seek + settle, s) from the sled X whose bits are
+  // `from_x_bits`. The unfilled stamp is a NaN pattern, which no sled X is.
+  static constexpr uint64_t kUnfilledX = 0x7ff8'dead'0000'0001;
   struct XLeg {
-    uint64_t epoch = 0;
+    uint64_t from_x_bits = kUnfilledX;
     double seconds = 0.0;
   };
   mutable std::vector<XLeg> x_leg_memo_;

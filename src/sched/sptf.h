@@ -10,9 +10,10 @@
 // costs instead of re-querying the model. Stale entries are refreshed
 // through EstimatePositioningBatch, which lets the device share per-state
 // work across the whole scan (the MEMS model memoizes per-cylinder X legs
-// for the current state and Y legs between row boundaries across states;
-// see mems_device.h). Selection order is identical to the naive
-// per-request scan.
+// keyed on the sled's X, so they outlive a dispatch while the sled stays on
+// its cylinder, and Y legs between row boundaries across states; see
+// mems_device.h). Selection order is identical to the naive per-request
+// scan.
 //
 // Device estimate methods may fill mutable caches, so a scheduler and its
 // device belong to one trial on one thread; never share them across threads.

@@ -60,6 +60,10 @@ int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
   const int64_t id = EncodeId(slot, node.gen);
   ++live_;
   if (backend_ == Backend::kCalendar) {
+    min_slot_ = kNil;
+    // A push may precede the located minimum (a run stopped at a horizon
+    // short of it); keep the floor a lower bound on every live event.
+    min_time_floor_ = std::min(min_time_floor_, at_ms);
     CalendarInsert(slot);
     if (static_cast<uint64_t>(live_) > bucket_count_ * 2 &&
         bucket_count_ < kMaxBuckets) {
@@ -115,6 +119,7 @@ bool EventQueue::Cancel(int64_t event_id) {
       HeapCompact();
     }
   } else {
+    min_slot_ = kNil;
     if (live_ + dead_ >= kCompactMinEntries && live_ < dead_) {
       CalendarPruneDead();
     }
@@ -139,13 +144,20 @@ void EventQueue::CalendarInsert(uint32_t slot) {
   buckets_[b] = static_cast<uint32_t>(slot);
 }
 
+uint32_t EventQueue::CalendarLocateMin() {
+  if (min_slot_ == kNil) {
+    min_slot_ = CalendarFindMin(&min_bucket_, &min_prev_);
+  }
+  return min_slot_;
+}
+
 uint32_t EventQueue::CalendarFindMin(uint32_t* bucket_out, uint32_t* prev_out) {
   assert(live_ > 0);
-  // Walk virtual buckets starting at the floor (the last popped time — no
-  // live event can be earlier). The first virtual bucket holding a live
-  // event holds the global minimum: VirtualBucket() is monotone in time, so
-  // any event in a later virtual bucket is strictly later than every event
-  // in this one.
+  // Walk virtual buckets starting at the floor (the last located minimum,
+  // or an earlier push since — no live event can be earlier). The first
+  // virtual bucket holding a live event holds the global minimum:
+  // VirtualBucket() is monotone in time, so any event in a later virtual
+  // bucket is strictly later than every event in this one.
   uint64_t v = VirtualBucket(min_time_floor_);
   for (uint64_t step = 0; step < bucket_count_; ++step, ++v) {
     const uint32_t b = static_cast<uint32_t>(v & bucket_mask_);
@@ -228,6 +240,7 @@ void EventQueue::CalendarUnlink(uint32_t bucket, uint32_t prev, uint32_t slot) {
 }
 
 void EventQueue::CalendarResize(uint64_t new_bucket_count) {
+  min_slot_ = kNil;
   scratch_slots_.clear();
   TimeMs t_min = 0;
   TimeMs t_max = 0;
@@ -268,6 +281,7 @@ void EventQueue::CalendarResize(uint64_t new_bucket_count) {
 }
 
 void EventQueue::CalendarPruneDead() {
+  min_slot_ = kNil;
   for (uint64_t b = 0; b < bucket_count_ && dead_ > 0; ++b) {
     uint32_t prev = kNil;
     uint32_t cur = buckets_[b];
@@ -334,10 +348,9 @@ uint32_t EventQueue::ExtractMinSlot(TimeMs* time_out) {
   assert(live_ > 0 && "pop on empty EventQueue");
   uint32_t slot;
   if (backend_ == Backend::kCalendar) {
-    uint32_t bucket = 0;
-    uint32_t prev = kNil;
-    slot = CalendarFindMin(&bucket, &prev);
-    CalendarUnlink(bucket, prev, slot);
+    slot = CalendarLocateMin();
+    CalendarUnlink(min_bucket_, min_prev_, slot);
+    min_slot_ = kNil;
   } else {
     HeapSkipCancelled();
     slot = heap_.front().slot;
@@ -362,9 +375,7 @@ void EventQueue::RecycleNode(uint32_t slot) {
 TimeMs EventQueue::PeekTime() {
   assert(!Empty() && "PeekTime on empty queue");
   if (backend_ == Backend::kCalendar) {
-    uint32_t bucket = 0;
-    uint32_t prev = kNil;
-    return pool_[CalendarFindMin(&bucket, &prev)].time_ms;
+    return pool_[CalendarLocateMin()].time_ms;
   }
   HeapSkipCancelled();
   return heap_.front().time_ms;

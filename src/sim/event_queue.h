@@ -147,6 +147,9 @@ class EventQueue {
   // way. Writes the owning bucket and the predecessor chain link (kNil for
   // bucket head). Requires live_ > 0.
   uint32_t CalendarFindMin(uint32_t* bucket_out, uint32_t* prev_out);
+  // CalendarFindMin through the located-minimum cache below: PeekTime and
+  // the pop that follows it share one walk.
+  uint32_t CalendarLocateMin();
   void CalendarUnlink(uint32_t bucket, uint32_t prev, uint32_t slot);
   // Re-buckets every live node into `new_bucket_count` buckets with a width
   // fitted to the live population's time span; drops dead nodes.
@@ -175,7 +178,13 @@ class EventQueue {
   uint64_t bucket_mask_ = 0;
   double width_ms_ = 1.0;
   double inv_width_ = 1.0;
-  TimeMs min_time_floor_ = 0.0;  // no live event is earlier (last pop time)
+  TimeMs min_time_floor_ = 0.0;  // no live event is earlier (last located minimum)
+  // The earliest live node as last located (kNil: not located), with its
+  // bucket and chain predecessor. Push, Cancel, resize and prune drop it:
+  // each can change the minimum or the chain links around it.
+  uint32_t min_slot_ = kNil;
+  uint32_t min_bucket_ = 0;
+  uint32_t min_prev_ = kNil;
   std::vector<uint32_t> scratch_slots_;  // resize workspace, capacity reused
 
   // Heap state.

@@ -15,8 +15,11 @@ namespace {
 
 // One deterministic churn round driven into both backends in lockstep.
 // Times are drawn from a small discrete set so equal-time ties are common
-// and the seq tiebreak is genuinely exercised.
-void RunChurnEquivalence(uint64_t seed, int ops, bool coarse_times) {
+// and the seq tiebreak is genuinely exercised. With `peeks`, PeekTime also
+// runs between other operations, so pushes (also ones earlier than the
+// peeked minimum), cancels (also of the peeked event) and pops land on a
+// queue whose minimum was located by an earlier peek.
+void RunChurnEquivalence(uint64_t seed, int ops, bool coarse_times, bool peeks = false) {
   EventQueue cal(EventQueue::Backend::kCalendar);
   EventQueue heap(EventQueue::Backend::kHeap);
   std::mt19937_64 rng(seed);
@@ -28,6 +31,9 @@ void RunChurnEquivalence(uint64_t seed, int ops, bool coarse_times) {
   std::vector<std::pair<int64_t, int64_t>> pending;  // (cal id, heap id)
 
   for (int i = 0; i < ops; ++i) {
+    if (peeks && !cal.Empty() && action(rng) < 5) {
+      ASSERT_EQ(cal.PeekTime(), heap.PeekTime()) << "PeekTime diverged before op " << i;
+    }
     const int a = action(rng);
     if (a < 6 || cal.Empty()) {
       const double t =
@@ -72,6 +78,34 @@ TEST(EventQueueEquivalenceTest, RandomChurnHeavyTies) {
   // entirely on the seq tiebreak, which both backends must share.
   for (uint64_t seed = 100; seed <= 107; ++seed) {
     RunChurnEquivalence(seed, 20000, /*coarse_times=*/true);
+  }
+}
+
+TEST(EventQueueEquivalenceTest, RandomChurnWithInterleavedPeeks) {
+  for (uint64_t seed = 200; seed <= 207; ++seed) {
+    RunChurnEquivalence(seed, 20000, /*coarse_times=*/false, /*peeks=*/true);
+    RunChurnEquivalence(seed + 100, 20000, /*coarse_times=*/true, /*peeks=*/true);
+  }
+}
+
+TEST(EventQueueEquivalenceTest, PushBeforePeekedMinimumPopsFirst) {
+  // A run that stops at a horizon has peeked an event beyond it; an event
+  // scheduled between the horizon and that one must still pop first.
+  for (const EventQueue::Backend backend :
+       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
+    EventQueue q(backend);
+    for (int i = 0; i < 200; ++i) {
+      q.Push(100.0 + i, [] {});
+    }
+    ASSERT_EQ(q.PeekTime(), 100.0);
+    q.Push(50.0, [] {});
+    q.Push(75.0, [] {});
+    EXPECT_EQ(q.PeekTime(), 50.0);
+    EXPECT_EQ(q.Pop().time_ms, 50.0);
+    EXPECT_EQ(q.Pop().time_ms, 75.0);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(q.Pop().time_ms, 100.0 + i);
+    }
   }
 }
 

@@ -4,11 +4,18 @@
 // state on the row-boundary grid) must be bit-identical to the direct
 // computation:
 //  * after every service, the batch estimate over a random pending set
-//    equals the scalar EstimatePositioningMs, which is never memoized;
+//    equals the scalar EstimatePositioningMs, which is never memoized, and
+//    both equal a reference estimate rebuilt here from public pieces only
+//    (MemsGeometry::Decode of both segment ends, the full TravelSeconds
+//    plan for every leg, RowBoundaryY), so a wrong segment decode or seek
+//    shared by the two device paths is caught too;
 //  * every ServiceRequest total, coarse breakdown, phase split, and the sled
 //    state it leaves behind equal those of a twin device that is handed
 //    set_sled(sled()) before each call, which puts it off the grid and so
 //    forces the direct path.
+//  * the X-leg memo, keyed on the sled's X, serves an entry only at the X
+//    it was computed from: the sled keeps coming back to a few cylinders
+//    (and to the centre, through Reset()) in different Y states.
 // Covered geometries: Table 1, the resonant spring, and the denser second-
 // and third-generation presets (different row counts, so differently sized
 // memo tables). Requests include multi-segment transfers that cross tracks
@@ -90,14 +97,42 @@ void ExpectSameService(MemsDevice& memo, MemsDevice& twin, const Request& req,
   ASSERT_EQ(Bits(memo.sled().vy), Bits(twin.sled().vy)) << preset << " step " << step;
 }
 
-void ExpectBatchMatchesScalar(const MemsDevice& device, const std::vector<Request>& pending,
+// The positioning estimate for `req` from the device's sled state, built
+// from public pieces only: the first segment's rows from decoding both of
+// its ends, each leg through the full four-candidate plan.
+TimeMs ReferenceEstimateMs(const MemsDevice& device, const Request& req) {
+  const MemsGeometry& geometry = device.geometry();
+  const MemsParams& p = device.params();
+  const SledKinematics& kin = device.kinematics();
+  const SledState& sled = device.sled();
+  const int64_t track_blocks = p.blocks_per_track();
+  const int64_t seg_last =
+      std::min((req.lbn / track_blocks + 1) * track_blocks - 1, req.last_lbn());
+  const MemsAddress first = geometry.Decode(req.lbn);
+  const MemsAddress last = geometry.Decode(seg_last);
+  const int32_t row_first = std::min(first.row, last.row);
+  const int32_t row_last = std::max(first.row, last.row);
+  const double target_x = geometry.CylinderX(first.cylinder);
+  const double tx = target_x != sled.x
+                        ? kin.TravelSeconds(sled.x, 0.0, target_x, 0.0) + p.settle_seconds()
+                        : 0.0;
+  const double v = p.access_velocity();
+  const double ty_up = kin.TravelSeconds(sled.y, sled.vy, geometry.RowBoundaryY(row_first), v);
+  const double ty_down =
+      kin.TravelSeconds(sled.y, sled.vy, geometry.RowBoundaryY(row_last + 1), -v);
+  return SecondsToMs(std::min(std::max(tx, ty_up), std::max(tx, ty_down)));
+}
+
+void ExpectEstimatesMatchReference(const MemsDevice& device, const std::vector<Request>& pending,
                               const char* preset, int step) {
   std::vector<TimeMs> batch(pending.size());
   device.EstimatePositioningBatch(pending.data(), static_cast<int64_t>(pending.size()), 0.0,
                                   batch.data());
   for (size_t i = 0; i < pending.size(); ++i) {
-    ASSERT_EQ(Bits(batch[i]), Bits(device.EstimatePositioningMs(pending[i], 0.0)))
+    const uint64_t reference = Bits(ReferenceEstimateMs(device, pending[i]));
+    ASSERT_EQ(Bits(device.EstimatePositioningMs(pending[i], 0.0)), reference)
         << preset << " step " << step << " item " << i;
+    ASSERT_EQ(Bits(batch[i]), reference) << preset << " step " << step << " item " << i;
   }
 }
 
@@ -123,9 +158,49 @@ TEST(MemsMemoPropertyTest, MemoizedPathsMatchDirectComputation) {
       for (Request& p : pending) {
         p = RandomRequest(preset.params, capacity, rng, next_id++);
       }
-      ExpectBatchMatchesScalar(memo, pending, preset.name, step);
+      ExpectEstimatesMatchReference(memo, pending, preset.name, step);
       // A second scan at the same state reads the X memo back.
-      ExpectBatchMatchesScalar(memo, pending, preset.name, step);
+      ExpectEstimatesMatchReference(memo, pending, preset.name, step);
+    }
+  }
+}
+
+TEST(MemsMemoPropertyTest, XLegMemoServesOnlyTheXItWasFilledAt) {
+  // The sled shuttles between three cylinders, so it comes back to an X it
+  // has estimated from before, in a new Y state (other rows, other read
+  // direction); now and then Reset() sends it back to the centre, also an
+  // X seen before, at rest. The pending set stays fixed, so memo entries
+  // filled at one X are looked up again at every other.
+  for (const Preset& preset : Presets()) {
+    MemsDevice device(preset.params);
+    const MemsParams& p = preset.params;
+    const int64_t capacity = device.CapacityBlocks();
+    Rng rng(71);
+    std::vector<Request> pending(48);
+    int64_t next_id = 0;
+    for (Request& r : pending) {
+      r = RandomRequest(p, capacity, rng, next_id++);
+    }
+    // The third is a pending request's own cylinder (an X leg of zero).
+    const int32_t cylinders[] = {static_cast<int32_t>(rng.UniformInt(p.cylinders())),
+                                 static_cast<int32_t>(rng.UniformInt(p.cylinders())),
+                                 device.geometry().Decode(pending[0].lbn).cylinder};
+    for (int step = 0; step < 300; ++step) {
+      if (rng.Bernoulli(0.1)) {
+        device.Reset();
+        ExpectEstimatesMatchReference(device, pending, preset.name, step);
+      }
+      MemsAddress addr;
+      addr.cylinder = cylinders[rng.UniformInt(3)];
+      addr.track = static_cast<int32_t>(rng.UniformInt(p.tracks_per_cylinder()));
+      addr.row = static_cast<int32_t>(rng.UniformInt(p.rows_per_track()));
+      Request req;
+      req.id = next_id++;
+      req.lbn = device.geometry().Encode(addr);
+      req.block_count = static_cast<int32_t>(
+          1 + rng.UniformInt(std::min<int64_t>(3 * p.slots_per_row(), capacity - req.lbn)));
+      (void)device.ServiceRequest(req, 0.0);
+      ExpectEstimatesMatchReference(device, pending, preset.name, step);
     }
   }
 }
@@ -161,7 +236,7 @@ TEST(MemsMemoPropertyTest, OffGridStatesBypassTheMemo) {
       for (Request& r : pending) {
         r = RandomRequest(p, capacity, rng, next_id++);
       }
-      ExpectBatchMatchesScalar(device, pending, preset.name, step);
+      ExpectEstimatesMatchReference(device, pending, preset.name, step);
     }
   }
 }
