@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
     Rng rng(71);
     const auto requests = GenerateRandomWorkload(config, rng);
 
-    const double t_sstf = RunSchedulingCell(&device, &sstf, requests).mean_response_ms;
-    const double t_sptf = RunSchedulingCell(&device, &sptf, requests).mean_response_ms;
+    const double t_sstf = RunOpenLoop(&device, &sstf, requests).MeanResponseMs();
+    const double t_sptf = RunOpenLoop(&device, &sptf, requests).MeanResponseMs();
     table.Row({Fmt("%.2f", constants), Fmt("%.3f", device.SettleMs()), Fmt("%.0f", rate),
                Fmt("%.3f", t_sstf), Fmt("%.3f", t_sptf),
                Fmt("%.1f%%", (1.0 - t_sptf / t_sstf) * 100.0)});

@@ -100,8 +100,12 @@ int main(int argc, char** argv) {
     config.injector.permanent_rate = 0.002;
     config.injector.spares = 128;
     config.rebuild_idle_delay_ms = 2.0;
-    const ExperimentResult r =
-        RunFaultedRandomTrial(SchedKind::kSptf, 600, fg_count, config, opts.seed);
+    TrialSpec spec;
+    spec.sched = SchedKind::kSptf;
+    spec.rate = 600;
+    spec.count = fg_count;
+    spec.faults = config;
+    const ExperimentResult r = RunTrial(spec, opts.seed);
     const FaultCounters& fc = r.metrics.fault();
     table.Row({"fault-driven", Fmt("%.3f", r.MeanResponseMs()),
                Fmt("%.0f", static_cast<double>(fc.remaps)),

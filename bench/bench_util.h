@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,10 +34,8 @@
 #include "src/layout/layout_map.h"
 #include "src/layout/layout_policy.h"
 #include "src/mems/mems_device.h"
-#include "src/sched/clook.h"
-#include "src/sched/fcfs.h"
-#include "src/sched/sptf.h"
-#include "src/sched/sstf_lbn.h"
+#include "src/sched/sched_kind.h"
+#include "src/sim/check.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
 #include "src/trace/replay.h"
@@ -210,298 +210,146 @@ class BenchJson {
   std::vector<std::pair<std::string, AggregateResult>> cells_;
 };
 
-// Runs the sweep core of the scheduling figures: one (device, scheduler,
-// rate) cell of Fig 5/6/8.
-struct SchedulingCell {
-  double mean_response_ms;
-  double scv;
-};
-
-inline SchedulingCell RunSchedulingCell(StorageDevice* device, IoScheduler* scheduler,
-                                        const std::vector<Request>& requests) {
-  const ExperimentResult result = RunOpenLoop(device, scheduler, requests);
-  return SchedulingCell{result.MeanResponseMs(), result.ResponseScv()};
-}
-
 // ---------------------------------------------------------------------------
-// Self-contained trial bodies for the multi-trial scheduling figures. Each
-// call owns its device, scheduler, and event queue, so trials are safe to
-// fan out across a ThreadPool; randomness comes only from `seed`. Shared by
-// fig6/fig7 and tools/mstk_sweep so the sweep artifacts measure exactly the
-// figure cells.
+// One trial path. A TrialSpec names one (device, scheduler, workload) cell —
+// the unit every scheduling, layout, failure, and trace figure reports — and
+// RunTrial runs it on a fresh device and scheduler, so trials are safe to fan
+// out across a ThreadPool; randomness comes only from `seed`. Shared by the
+// figure benches and tools/mstk_sweep so the sweep artifacts measure exactly
+// the figure cells.
 
-enum class SchedKind { kFcfs, kSstfLbn, kClook, kSptf };
+// The paper's four scheduling policies (Figs 5-8), in table column order.
+constexpr SchedKind kPaperScheds[] = {SchedKind::kFcfs, SchedKind::kSstfLbn, SchedKind::kClook,
+                                      SchedKind::kSptf};
 
-inline const char* SchedKindName(SchedKind kind) {
-  switch (kind) {
-    case SchedKind::kFcfs: return "FCFS";
-    case SchedKind::kSstfLbn: return "SSTF_LBN";
-    case SchedKind::kClook: return "C-LOOK";
-    case SchedKind::kSptf: return "SPTF";
-  }
-  return "?";
-}
+enum class TrialDevice { kMems, kDisk };
 
-inline ExperimentResult RunWithScheduler(StorageDevice* device, SchedKind kind,
-                                         const std::vector<Request>& requests,
-                                         TraceTrack trace = {}) {
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(device);
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunOpenLoop(device, &sched, requests, trace);
-}
-
-// One Fig 6 cell trial: random workload at `rate` on a fresh MEMS device.
-inline ExperimentResult RunRandomSchedTrial(SchedKind kind, double rate, int64_t count,
-                                            uint64_t seed, TraceTrack trace = {}) {
-  MemsDevice device;
-  RandomWorkloadConfig config;
-  config.arrival_rate_per_s = rate;
-  config.request_count = count;
-  config.capacity_blocks = device.CapacityBlocks();
-  Rng rng(seed);
-  const auto requests = GenerateRandomWorkload(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
-}
-
-// One fault-injection cell trial: random workload at `rate` on a fresh MEMS
-// device with online fault injection and recovery (§6). The injector's
-// fault stream is derived from `seed` so trials stay independent and
-// deterministic.
-inline ExperimentResult RunFaultedRandomTrial(SchedKind kind, double rate, int64_t count,
-                                              const FaultRunConfig& config, uint64_t seed,
-                                              TraceTrack trace = {}) {
-  MemsDevice device;
-  RandomWorkloadConfig wl;
-  wl.arrival_rate_per_s = rate;
-  wl.request_count = count;
-  wl.capacity_blocks = device.CapacityBlocks();
-  Rng rng(seed);
-  const auto requests = GenerateRandomWorkload(wl, rng);
-  const uint64_t fault_seed = DeriveTrialSeed(seed, /*trial_index=*/0x0fa17);
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(&device);
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-}
-
-// As above on a fresh DiskDevice — exercises the disk-style remap timing
-// penalties (slip / spare region).
-inline ExperimentResult RunFaultedDiskTrial(SchedKind kind, double rate, int64_t count,
-                                            const FaultRunConfig& config, uint64_t seed,
-                                            TraceTrack trace = {}) {
-  DiskDevice device;
-  RandomWorkloadConfig wl;
-  wl.arrival_rate_per_s = rate;
-  wl.request_count = count;
-  wl.capacity_blocks = device.CapacityBlocks();
-  Rng rng(seed);
-  const auto requests = GenerateRandomWorkload(wl, rng);
-  const uint64_t fault_seed = DeriveTrialSeed(seed, /*trial_index=*/0x0fa17);
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(&device);
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-}
-
-// One layout-cube cell trial (tools/mstk_sweep `layouts` matrix): a
-// bipartite open-loop read stream in the Fig 11 mix (89% 4 KB accesses to a
-// hot pool, 11% 64 KB reads from a cold pool) — or a cello-like trace when
-// `cello` is set — generated over the policy's logical space, mapped through
-// the policy's ExtentLayout, and run under `kind` on a fresh MEMS device.
-inline ExperimentResult RunLayoutSchedTrial(const LayoutPolicy& policy, bool cello,
-                                            SchedKind kind, int64_t count, uint64_t seed,
-                                            TraceTrack trace = {}) {
-  MemsDevice device;
-  LayoutSpec spec;
-  spec.geometry = &device.geometry();
-  spec.device_capacity_blocks = device.CapacityBlocks();
-  spec.hot_blocks = 200000;
-  spec.cold_blocks = 800000;
-  const ExtentLayout layout = policy.Build(spec);
-  const int64_t logical_blocks = spec.hot_blocks + spec.cold_blocks;
-  Rng rng(seed);
-  std::vector<Request> logical;
-  if (cello) {
-    CelloLikeConfig config;
-    config.request_count = count;
-    config.capacity_blocks = logical_blocks;
-    logical = GenerateCelloLike(config, rng);
-  } else {
-    RandomWorkloadConfig config;
-    config.arrival_rate_per_s = 500.0;
-    config.request_count = count;
-    config.capacity_blocks = logical_blocks;
-    logical = GenerateRandomWorkload(config, rng);
-    // Reshape into the bipartite mix; arrivals keep the Poisson process.
-    for (Request& req : logical) {
-      req.type = IoType::kRead;
-      if (rng.Bernoulli(0.11)) {
-        req.block_count = 128;  // 64 KB cold read
-        req.lbn = spec.hot_blocks + rng.UniformInt(spec.cold_blocks - req.block_count);
-      } else {
-        req.block_count = 8;  // 4 KB hot read
-        req.lbn = rng.UniformInt(spec.hot_blocks - req.block_count);
-      }
-    }
-  }
-  const std::vector<Request> mapped = ApplyLayout(layout, logical);
-  return RunWithScheduler(&device, kind, mapped, trace);
-}
-
-// One Fig 7(a) cell trial: cello-like trace at time-scale `scale`.
-inline ExperimentResult RunCelloSchedTrial(SchedKind kind, double scale, int64_t count,
-                                           uint64_t seed, TraceTrack trace = {}) {
-  MemsDevice device;
-  CelloLikeConfig config;
-  config.request_count = count;
-  config.capacity_blocks = device.CapacityBlocks();
-  config.scale = scale;
-  Rng rng(seed);
-  const auto requests = GenerateCelloLike(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
-}
-
-// As RunWithScheduler, but replays through the trace front-end's arrival
-// control (src/trace/replay.h) instead of the plain open loop.
-inline ExperimentResult ReplayTraceWithScheduler(StorageDevice* device, SchedKind kind,
-                                                 const std::vector<Request>& requests,
-                                                 const trace::ReplayConfig& config,
-                                                 TraceTrack trace_track = {}) {
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(device);
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-  }
-  FcfsScheduler sched;
-  return trace::Replay(device, &sched, requests, config, trace_track);
-}
-
-// One `traces` matrix cell trial (tools/mstk_sweep, bench/trace_replay): the
-// named scenario is generated at the trial seed, optionally client-multiplied
-// and time-warped, remapped onto the target address space, and replayed
-// through the Driver path under the chosen arrival control. With a layout
-// policy the trace lands in the policy's logical space and goes through its
-// ExtentLayout (the layout-cube spec); without one it maps straight onto
-// device LBNs.
-struct ScenarioReplaySpec {
-  std::string scenario;
-  SchedKind sched = SchedKind::kSptf;
-  const LayoutPolicy* layout = nullptr;
-  trace::ArrivalMode mode = trace::ArrivalMode::kOpen;
-  int window = 8;
-  int clients = 1;
-  double warp = 1.0;
-  int64_t count = 2000;
+enum class TrialSource {
+  kRandom,     // Poisson random workload at `rate` (Figs 5, 6, 8)
+  kCello,      // cello-like trace at time scale `scale` (Fig 7(a))
+  kTpcc,       // tpcc-like trace at time scale `scale` (Fig 7(b))
+  kBipartite,  // Fig 11 read mix at 500 req/s: 89% 4 KB hot, 11% 64 KB cold
+  kScenario,   // zoo `scenario`, times `clients` fan-in, time-warped by `warp`
 };
 
-inline ExperimentResult RunScenarioReplayTrial(const ScenarioReplaySpec& spec, uint64_t seed,
-                                               TraceTrack trace_track = {}) {
-  trace::ScenarioConfig config;
-  config.request_count = spec.count;
-  config.seed = seed;
-  trace::ParsedTrace parsed = trace::GenerateScenario(spec.scenario, config);
-  if (spec.clients > 1) {
-    parsed.records = trace::MultiplyClients(parsed.records, spec.clients,
-                                            trace::ScenarioFootprintBlocks(spec.scenario));
-  }
-  if (spec.warp != 1.0) {
-    parsed.records = trace::TimeWarp(parsed.records, spec.warp);
-  }
-  MemsDevice device;
-  trace::ReplayConfig replay;
-  replay.mode = spec.mode;
-  replay.window = spec.window;
-  if (spec.layout == nullptr) {
-    parsed.records = trace::RemapToCapacity(parsed.records, device.CapacityBlocks(),
-                                            trace::RemapMode::kScale);
-    return ReplayTraceWithScheduler(&device, spec.sched, trace::ToRequests(parsed), replay,
-                                    trace_track);
-  }
-  LayoutSpec layout_spec;
-  layout_spec.geometry = &device.geometry();
-  layout_spec.device_capacity_blocks = device.CapacityBlocks();
-  layout_spec.hot_blocks = 200000;
-  layout_spec.cold_blocks = 800000;
-  parsed.records = trace::RemapToCapacity(
-      parsed.records, layout_spec.hot_blocks + layout_spec.cold_blocks, trace::RemapMode::kScale);
-  const std::vector<Request> mapped =
-      ApplyLayout(spec.layout->Build(layout_spec), trace::ToRequests(parsed));
-  return ReplayTraceWithScheduler(&device, spec.sched, mapped, replay, trace_track);
-}
+// The logical space a layout policy places (and kBipartite's hot/cold pools).
+constexpr int64_t kLayoutHotBlocks = 200000;
+constexpr int64_t kLayoutColdBlocks = 800000;
 
-// One Fig 7(b) cell trial: tpcc-like trace at time-scale `scale`.
-inline ExperimentResult RunTpccSchedTrial(SchedKind kind, double scale, int64_t count,
-                                          uint64_t seed, TraceTrack trace = {}) {
-  MemsDevice device;
-  TpccLikeConfig config;
-  config.request_count = count;
-  config.capacity_blocks = device.CapacityBlocks();
-  config.scale = scale;
+struct TrialSpec {
+  TrialDevice device = TrialDevice::kMems;
+  SchedKind sched = SchedKind::kSptf;
+  TrialSource source = TrialSource::kRandom;
+  double rate = 0.0;     // kRandom: arrivals per second
+  double scale = 1.0;    // kCello, kTpcc: §4.3 trace time scale
+  std::string scenario;  // kScenario
+  int clients = 1;       // kScenario
+  double warp = 1.0;     // kScenario
+  int64_t count = 2000;  // requests (scenario records)
+  // Optional placement (MEMS only): the workload is generated over the
+  // policy's logical space and mapped through its ExtentLayout. Without one
+  // it spans the device's LBNs.
+  const LayoutPolicy* layout = nullptr;
+  // kClosed / kHybrid replay through trace::Replay with `window` outstanding.
+  trace::ArrivalMode arrival = trace::ArrivalMode::kOpen;
+  int window = 8;
+  // Online fault injection and recovery (§6); open arrivals only.
+  std::optional<FaultRunConfig> faults;
+};
+
+inline ExperimentResult RunTrial(const TrialSpec& spec, uint64_t seed, TraceTrack trace = {}) {
+  std::unique_ptr<StorageDevice> device;
+  const MemsGeometry* geometry = nullptr;
+  if (spec.device == TrialDevice::kDisk) {
+    device = std::make_unique<DiskDevice>();
+  } else {
+    auto mems = std::make_unique<MemsDevice>();
+    geometry = &mems->geometry();
+    device = std::move(mems);
+  }
+  const int64_t space = spec.layout != nullptr ? kLayoutHotBlocks + kLayoutColdBlocks
+                                               : device->CapacityBlocks();
+
   Rng rng(seed);
-  const auto requests = GenerateTpccLike(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
+  std::vector<Request> requests;
+  switch (spec.source) {
+    case TrialSource::kRandom:
+    case TrialSource::kBipartite: {
+      const bool bipartite = spec.source == TrialSource::kBipartite;
+      RandomWorkloadConfig config;
+      config.arrival_rate_per_s = bipartite ? 500.0 : spec.rate;
+      config.request_count = spec.count;
+      config.capacity_blocks = space;
+      requests = GenerateRandomWorkload(config, rng);
+      if (!bipartite) break;
+      // Reshape into the bipartite mix; arrivals keep the Poisson process.
+      for (Request& req : requests) {
+        req.type = IoType::kRead;
+        if (rng.Bernoulli(0.11)) {
+          req.block_count = 128;  // 64 KB cold read
+          req.lbn = kLayoutHotBlocks + rng.UniformInt(kLayoutColdBlocks - req.block_count);
+        } else {
+          req.block_count = 8;  // 4 KB hot read
+          req.lbn = rng.UniformInt(kLayoutHotBlocks - req.block_count);
+        }
+      }
+      break;
+    }
+    case TrialSource::kCello: {
+      CelloLikeConfig config;
+      config.request_count = spec.count;
+      config.capacity_blocks = space;
+      config.scale = spec.scale;
+      requests = GenerateCelloLike(config, rng);
+      break;
+    }
+    case TrialSource::kTpcc: {
+      TpccLikeConfig config;
+      config.request_count = spec.count;
+      config.capacity_blocks = space;
+      config.scale = spec.scale;
+      requests = GenerateTpccLike(config, rng);
+      break;
+    }
+    case TrialSource::kScenario: {
+      trace::ScenarioConfig config;
+      config.request_count = spec.count;
+      config.seed = seed;
+      trace::ParsedTrace parsed = trace::GenerateScenario(spec.scenario, config);
+      if (spec.clients > 1) {
+        parsed.records = trace::MultiplyClients(parsed.records, spec.clients,
+                                                trace::ScenarioFootprintBlocks(spec.scenario));
+      }
+      if (spec.warp != 1.0) {
+        parsed.records = trace::TimeWarp(parsed.records, spec.warp);
+      }
+      parsed.records = trace::RemapToCapacity(parsed.records, space, trace::RemapMode::kScale);
+      requests = trace::ToRequests(parsed);
+      break;
+    }
+  }
+  if (spec.layout != nullptr) {
+    MSTK_CHECK(geometry != nullptr, "layout policies place onto a MEMS device");
+    LayoutSpec layout_spec;
+    layout_spec.geometry = geometry;
+    layout_spec.device_capacity_blocks = device->CapacityBlocks();
+    layout_spec.hot_blocks = kLayoutHotBlocks;
+    layout_spec.cold_blocks = kLayoutColdBlocks;
+    requests = ApplyLayout(spec.layout->Build(layout_spec), requests);
+  }
+
+  const std::unique_ptr<IoScheduler> scheduler = MakeScheduler(spec.sched, device.get());
+  if (spec.faults.has_value()) {
+    MSTK_CHECK(spec.arrival == trace::ArrivalMode::kOpen, "fault injection runs open-loop");
+    const uint64_t fault_seed = DeriveTrialSeed(seed, /*trial_index=*/0x0fa17);
+    return RunFaultInjectedOpenLoop(device.get(), scheduler.get(), requests, *spec.faults,
+                                    fault_seed, trace);
+  }
+  // Open arrivals: trace::Replay is RunOpenLoop.
+  trace::ReplayConfig replay;
+  replay.mode = spec.arrival;
+  replay.window = spec.window;
+  return trace::Replay(device.get(), scheduler.get(), requests, replay, trace);
 }
 
 }  // namespace mstk

@@ -121,11 +121,13 @@ int main(int argc, char** argv) {
     config.injector.permanent_rate = 0.002;
     config.injector.lost_completion_rate = 0.001;
     config.injector.spares = 64;
-    const int64_t count = opts.Scale(5000);
-    const ExperimentResult clean =
-        RunRandomSchedTrial(SchedKind::kSptf, 600, count, opts.seed);
-    const ExperimentResult faulted =
-        RunFaultedRandomTrial(SchedKind::kSptf, 600, count, config, opts.seed);
+    TrialSpec spec;
+    spec.sched = SchedKind::kSptf;
+    spec.rate = 600;
+    spec.count = opts.Scale(5000);
+    const ExperimentResult clean = RunTrial(spec, opts.seed);
+    spec.faults = config;
+    const ExperimentResult faulted = RunTrial(spec, opts.seed);
     const FaultCounters& fc = faulted.metrics.fault();
     table.Row({"mean_response_ms(clean)", Fmt("%.3f", clean.MeanResponseMs())});
     table.Row({"mean_response_ms(faulted)", Fmt("%.3f", faulted.MeanResponseMs())});

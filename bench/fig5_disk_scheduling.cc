@@ -7,14 +7,12 @@
 // response time; SPTF beats everything; C-LOOK has the best (lowest)
 // sigma^2/mu^2, SSTF_LBN and SPTF the worst.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/disk/disk_device.h"
-#include "src/sched/clook.h"
-#include "src/sched/fcfs.h"
-#include "src/sched/sptf.h"
-#include "src/sched/sstf_lbn.h"
+#include "src/sched/sched_kind.h"
 #include "src/sim/rng.h"
 #include "src/workload/random_workload.h"
 
@@ -24,18 +22,13 @@ int main(int argc, char** argv) {
   const TableWriter table(opts.csv);
 
   DiskDevice device;
-  FcfsScheduler fcfs;
-  SstfLbnScheduler sstf;
-  ClookScheduler clook;
-  SptfScheduler sptf(&device);
-  IoScheduler* scheds[] = {&fcfs, &sstf, &clook, &sptf};
 
   const std::vector<double> rates = {20, 40, 60, 80, 100, 120, 140, 160, 180, 200};
   const int64_t count = opts.Scale(10000);
 
   std::printf("Figure 5(a): Atlas 10K, random workload — mean response time (ms)\n");
   table.Row({"rate_per_s", "FCFS", "SSTF_LBN", "C-LOOK", "SPTF"});
-  std::vector<std::vector<SchedulingCell>> cells(rates.size());
+  std::vector<std::vector<double>> scv(rates.size());
   for (size_t r = 0; r < rates.size(); ++r) {
     RandomWorkloadConfig config;
     config.arrival_rate_per_s = rates[r];
@@ -44,10 +37,11 @@ int main(int argc, char** argv) {
     Rng rng(1000 + static_cast<uint64_t>(r));
     const auto requests = GenerateRandomWorkload(config, rng);
     std::vector<std::string> row = {Fmt("%.0f", rates[r])};
-    for (IoScheduler* sched : scheds) {
-      const SchedulingCell cell = RunSchedulingCell(&device, sched, requests);
-      cells[r].push_back(cell);
-      row.push_back(Fmt("%.2f", cell.mean_response_ms));
+    for (SchedKind kind : kPaperScheds) {
+      const std::unique_ptr<IoScheduler> sched = MakeScheduler(kind, &device);
+      const ExperimentResult result = RunOpenLoop(&device, sched.get(), requests);
+      scv[r].push_back(result.ResponseScv());
+      row.push_back(Fmt("%.2f", result.MeanResponseMs()));
     }
     table.Row(row);
   }
@@ -56,8 +50,8 @@ int main(int argc, char** argv) {
   table.Row({"rate_per_s", "FCFS", "SSTF_LBN", "C-LOOK", "SPTF"});
   for (size_t r = 0; r < rates.size(); ++r) {
     std::vector<std::string> row = {Fmt("%.0f", rates[r])};
-    for (const SchedulingCell& cell : cells[r]) {
-      row.push_back(Fmt("%.2f", cell.scv));
+    for (const double cell : scv[r]) {
+      row.push_back(Fmt("%.2f", cell));
     }
     table.Row(row);
   }

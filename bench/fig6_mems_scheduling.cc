@@ -21,11 +21,10 @@ int main(int argc, char** argv) {
   const TableWriter table(opts.csv);
   BenchJson json("fig6_mems_scheduling", opts);
 
-  const SchedKind scheds[] = {SchedKind::kFcfs, SchedKind::kSstfLbn, SchedKind::kClook,
-                              SchedKind::kSptf};
   const std::vector<double> rates = {200, 400, 600, 800, 1000, 1200,
                                      1400, 1600, 1800, 2000};
-  const int64_t count = opts.Scale(10000);
+  TrialSpec spec;  // random workload on MEMS; each cell sets sched and rate
+  spec.count = opts.Scale(10000);
 
   std::printf("Figure 6(a): MEMS device, random workload — mean response time (ms)\n");
   table.Row({"rate_per_s", "FCFS", "SSTF_LBN", "C-LOOK", "SPTF"});
@@ -36,12 +35,11 @@ int main(int argc, char** argv) {
     TrialRunner::Options trial_opts = opts.TrialOptions();
     trial_opts.base_seed = DeriveTrialSeed(opts.seed, 2000 + static_cast<int64_t>(r));
     std::vector<std::string> row = {Fmt("%.0f", rates[r])};
-    for (SchedKind sched : scheds) {
-      const double rate = rates[r];
+    spec.rate = rates[r];
+    for (SchedKind sched : kPaperScheds) {
+      spec.sched = sched;
       const AggregateResult agg = TrialRunner::RunExperiments(
-          trial_opts, [sched, rate, count](uint64_t seed, int64_t) {
-            return RunRandomSchedTrial(sched, rate, count, seed);
-          });
+          trial_opts, [&spec](uint64_t seed, int64_t) { return RunTrial(spec, seed); });
       row.push_back(FmtCi("%.3f", agg.Get("mean_response_ms")));
       json.AddCell("rate" + Fmt("%.0f", rates[r]) + "/" + SchedKindName(sched), agg);
       cells[r].push_back(agg);
@@ -68,10 +66,10 @@ int main(int argc, char** argv) {
   for (double rate = 1400.0; rate <= 2000.0 + 1.0; rate += 100.0) {
     TrialRunner::Options trial_opts = opts.TrialOptions();
     trial_opts.base_seed = DeriveTrialSeed(opts.seed, 9000 + static_cast<int64_t>(rate));
+    spec.sched = SchedKind::kSptf;
+    spec.rate = rate;
     const AggregateResult agg = TrialRunner::RunExperiments(
-        trial_opts, [rate, count](uint64_t seed, int64_t) {
-          return RunRandomSchedTrial(SchedKind::kSptf, rate, count, seed);
-        });
+        trial_opts, [&spec](uint64_t seed, int64_t) { return RunTrial(spec, seed); });
     table.Row({Fmt("%.0f", rate), FmtCi("%.3f", agg.Get("mean_response_ms")),
                FmtCi("%.1f", agg.Get("mean_queue_depth")),
                FmtCi("%.3f", agg.Get("mean_service_ms"))});
@@ -85,10 +83,12 @@ int main(int argc, char** argv) {
     for (size_t r = 0; r < rates.size(); ++r) {
       const uint64_t row_seed =
           DeriveTrialSeed(DeriveTrialSeed(opts.seed, 2000 + static_cast<int64_t>(r)), 0);
-      for (SchedKind sched : scheds) {
+      spec.rate = rates[r];
+      for (SchedKind sched : kPaperScheds) {
+        spec.sched = sched;
         const int tid = trace.AddTrack("rate" + Fmt("%.0f", rates[r]) + "/" +
                                        SchedKindName(sched));
-        RunRandomSchedTrial(sched, rates[r], count, row_seed, TraceTrack(&trace, tid));
+        RunTrial(spec, row_seed, TraceTrack(&trace, tid));
       }
     }
     if (!trace.WriteFile(opts.trace_path)) return 1;

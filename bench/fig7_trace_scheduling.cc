@@ -23,21 +23,21 @@ int main(int argc, char** argv) {
   const TableWriter table(opts.csv);
   BenchJson json("fig7_trace_scheduling", opts);
 
-  const SchedKind scheds[] = {SchedKind::kFcfs, SchedKind::kSstfLbn, SchedKind::kClook,
-                              SchedKind::kSptf};
-  const int64_t count = opts.Scale(20000);
+  TrialSpec spec;  // each cell sets scale and sched
+  spec.count = opts.Scale(20000);
 
   std::printf("Figure 7(a): cello-like trace on MEMS — mean response time (ms)\n");
   table.Row({"scale", "FCFS", "SSTF_LBN", "C-LOOK", "SPTF"});
   TrialRunner::Options cello_opts = opts.TrialOptions();
   cello_opts.base_seed = DeriveTrialSeed(opts.seed, 31);
+  spec.source = TrialSource::kCello;
   for (const double scale : {1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0}) {
     std::vector<std::string> row = {Fmt("%.0f", scale)};
-    for (SchedKind sched : scheds) {
+    spec.scale = scale;
+    for (SchedKind sched : kPaperScheds) {
+      spec.sched = sched;
       const AggregateResult agg = TrialRunner::RunExperiments(
-          cello_opts, [sched, scale, count](uint64_t seed, int64_t) {
-            return RunCelloSchedTrial(sched, scale, count, seed);
-          });
+          cello_opts, [&spec](uint64_t seed, int64_t) { return RunTrial(spec, seed); });
       row.push_back(FmtCi("%.3f", agg.Get("mean_response_ms")));
       json.AddCell("cello_scale" + Fmt("%.0f", scale) + "/" + SchedKindName(sched), agg);
     }
@@ -48,13 +48,14 @@ int main(int argc, char** argv) {
   table.Row({"scale", "FCFS", "SSTF_LBN", "C-LOOK", "SPTF"});
   TrialRunner::Options tpcc_opts = opts.TrialOptions();
   tpcc_opts.base_seed = DeriveTrialSeed(opts.seed, 37);
+  spec.source = TrialSource::kTpcc;
   for (const double scale : {1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0}) {
     std::vector<std::string> row = {Fmt("%.0f", scale)};
-    for (SchedKind sched : scheds) {
+    spec.scale = scale;
+    for (SchedKind sched : kPaperScheds) {
+      spec.sched = sched;
       const AggregateResult agg = TrialRunner::RunExperiments(
-          tpcc_opts, [sched, scale, count](uint64_t seed, int64_t) {
-            return RunTpccSchedTrial(sched, scale, count, seed);
-          });
+          tpcc_opts, [&spec](uint64_t seed, int64_t) { return RunTrial(spec, seed); });
       row.push_back(FmtCi("%.3f", agg.Get("mean_response_ms")));
       json.AddCell("tpcc_scale" + Fmt("%.0f", scale) + "/" + SchedKindName(sched), agg);
     }

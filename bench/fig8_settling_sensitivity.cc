@@ -6,14 +6,12 @@
 // SSTF_LBN nearly matches SPTF; with 0 constants Y seeks matter and SPTF
 // pulls far ahead of every LBN-based algorithm.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/mems/mems_device.h"
-#include "src/sched/clook.h"
-#include "src/sched/fcfs.h"
-#include "src/sched/sptf.h"
-#include "src/sched/sstf_lbn.h"
+#include "src/sched/sched_kind.h"
 #include "src/sim/rng.h"
 #include "src/workload/random_workload.h"
 
@@ -27,11 +25,6 @@ int main(int argc, char** argv) {
     MemsParams params;
     params.settle_constants = constants;
     MemsDevice device(params);
-    FcfsScheduler fcfs;
-    SstfLbnScheduler sstf;
-    ClookScheduler clook;
-    SptfScheduler sptf(&device);
-    IoScheduler* scheds[] = {&fcfs, &sstf, &clook, &sptf};
 
     std::printf("Figure 8 (%.0f settling time constants): mean response time (ms)\n",
                 constants);
@@ -46,9 +39,9 @@ int main(int argc, char** argv) {
       Rng rng(4000 + static_cast<uint64_t>(rate));
       const auto requests = GenerateRandomWorkload(config, rng);
       std::vector<std::string> row = {Fmt("%.0f", rate)};
-      for (IoScheduler* sched : scheds) {
-        row.push_back(
-            Fmt("%.3f", RunSchedulingCell(&device, sched, requests).mean_response_ms));
+      for (SchedKind kind : kPaperScheds) {
+        const std::unique_ptr<IoScheduler> sched = MakeScheduler(kind, &device);
+        row.push_back(Fmt("%.3f", RunOpenLoop(&device, sched.get(), requests).MeanResponseMs()));
       }
       table.Row(row);
     }

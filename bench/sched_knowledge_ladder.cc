@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
       const auto requests = GenerateTpccLike(config, rng);
       std::vector<std::string> row = {Fmt("%.0f", scale)};
       for (IoScheduler* sched : scheds) {
-        row.push_back(
-            Fmt("%.3f", RunSchedulingCell(&device, sched, requests).mean_response_ms));
+        row.push_back(Fmt("%.3f", RunOpenLoop(&device, sched, requests).MeanResponseMs()));
       }
       table.Row(row);
     }

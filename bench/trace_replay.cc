@@ -19,9 +19,6 @@ namespace {
 
 using namespace mstk;
 
-constexpr SchedKind kScheds[] = {SchedKind::kFcfs, SchedKind::kSstfLbn, SchedKind::kClook,
-                                 SchedKind::kSptf};
-
 void AddRow(const TableWriter& table, BenchJson& json, const std::string& label,
             const AggregateResult& agg) {
   table.Row({label, FmtCi("%.3f", agg.Get("mean_response_ms")),
@@ -66,33 +63,33 @@ int main(int argc, char** argv) {
           trace::MultiplyClients(parsed.records, opts.clients, probe.CapacityBlocks());
     }
     const std::vector<Request> requests = trace::ToRequests(parsed);
-    for (const SchedKind sched : kScheds) {
+    for (const SchedKind sched : kPaperScheds) {
       const AggregateResult agg = TrialRunner::RunExperiments(
           opts.TrialOptions(), [&requests, sched, mode](uint64_t, int64_t) {
             MemsDevice device;
+            const std::unique_ptr<IoScheduler> scheduler = MakeScheduler(sched, &device);
             trace::ReplayConfig replay;
             replay.mode = mode;
-            return ReplayTraceWithScheduler(&device, sched, requests, replay);
+            return trace::Replay(&device, scheduler.get(), requests, replay);
           });
       AddRow(table, json, std::string("file/") + SchedKindName(sched), agg);
     }
     return json.WriteIfRequested() ? 0 : 1;
   }
 
+  TrialSpec spec;  // each cell sets scenario and sched
+  spec.source = TrialSource::kScenario;
+  spec.arrival = mode;
+  spec.clients = opts.clients;
+  spec.count = opts.Scale(4000);
   for (const std::string& scenario : trace::ScenarioNames()) {
-    for (const SchedKind sched : kScheds) {
-      ScenarioReplaySpec spec;
+    for (const SchedKind sched : kPaperScheds) {
       spec.scenario = scenario;
       spec.sched = sched;
-      spec.mode = mode;
-      spec.clients = opts.clients;
-      spec.count = opts.Scale(4000);
       const AggregateResult agg = TrialRunner::RunExperiments(
-          opts.TrialOptions(),
-          [&spec](uint64_t seed, int64_t) { return RunScenarioReplayTrial(spec, seed); });
+          opts.TrialOptions(), [&spec](uint64_t seed, int64_t) { return RunTrial(spec, seed); });
       AddRow(table, json,
-             scenario + "/" + SchedKindName(sched) + "/" + trace::ArrivalModeName(spec.mode),
-             agg);
+             scenario + "/" + SchedKindName(sched) + "/" + trace::ArrivalModeName(mode), agg);
     }
   }
   return json.WriteIfRequested() ? 0 : 1;

@@ -7,6 +7,7 @@
 #include "src/core/metrics.h"
 #include "src/fault/injector.h"
 #include "src/mems/mems_device.h"
+#include "src/sched/sched_kind.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 
@@ -41,8 +42,10 @@ TrialMetrics RunArrayRebuildTrial(const ArrayRunConfig& config, uint64_t seed,
   Simulator sim;
   MetricsCollector metrics;
   metrics.set_exclude_background(true);
-  ArrayManager manager(&sim, config.manager, devices,
-                       config.use_sptf ? MakeSptfFactory() : MakeFcfsFactory(), &metrics);
+  const SchedulerFactory sptf = [](const StorageDevice* device) {
+    return MakeScheduler(SchedKind::kSptf, device);
+  };
+  ArrayManager manager(&sim, config.manager, devices, sptf, &metrics);
 
   // Per-member fault injection, each member on its own sub-stream of the
   // trial seed.

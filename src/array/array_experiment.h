@@ -20,8 +20,6 @@ struct ArrayRunConfig {
   ArrayManagerConfig manager;
   // Hot spares; the trial builds manager.active_members + spares devices.
   int spares = 1;
-  // Member scheduler: SPTF when true, FCFS otherwise.
-  bool use_sptf = true;
   // Foreground stream (capacity_blocks is filled in from the array).
   RandomWorkloadConfig workload;
 
@@ -40,9 +38,10 @@ struct ArrayRunConfig {
   RecoveryPolicy recovery;
 };
 
-// Runs one trial. Reported metrics: the standard foreground summary
-// (mean_response_ms, mean_service_ms, response_scv, mean_queue_depth,
-// makespan_ms, completed), aggregated member fault/rebuild counters
+// Runs one trial with every member scheduled by SPTF. Reported metrics:
+// the standard foreground summary (mean_response_ms, mean_service_ms,
+// response_scv, mean_queue_depth, makespan_ms, completed), aggregated
+// member fault/rebuild counters
 // (fault_* / rebuild separated from foreground), and the lifecycle
 // (array_state_transitions, array_final_state, array_superblock_version,
 // array_rebuild_chunks, array_degraded_at_ms, array_rebuilding_at_ms,

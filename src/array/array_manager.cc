@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/sched/fcfs.h"
-#include "src/sched/sptf.h"
 #include "src/sim/check.h"
 
 namespace mstk {
@@ -33,14 +31,6 @@ const char* RebuildPolicyName(RebuildPolicy policy) {
       return "greedy";
   }
   return "?";
-}
-
-SchedulerFactory MakeFcfsFactory() {
-  return [](const StorageDevice*) { return std::make_unique<FcfsScheduler>(); };
-}
-
-SchedulerFactory MakeSptfFactory() {
-  return [](const StorageDevice* device) { return std::make_unique<SptfScheduler>(device); };
 }
 
 ArrayManager::ArrayManager(Simulator* sim, const ArrayManagerConfig& config,

@@ -74,11 +74,9 @@ struct ArrayManagerConfig {
 };
 
 // Builds the per-member scheduler; called once per device at construction.
+// A fixed policy is `[](const StorageDevice* d) { return MakeScheduler(kind, d); }`
+// (src/sched/sched_kind.h).
 using SchedulerFactory = std::function<std::unique_ptr<IoScheduler>(const StorageDevice*)>;
-
-// Ready-made factories for the two scheduler families the benches sweep.
-SchedulerFactory MakeFcfsFactory();
-SchedulerFactory MakeSptfFactory();
 
 class ArrayManager {
  public:

@@ -71,6 +71,11 @@ bool ParseArrivalMode(const char* name, ArrivalMode* out) {
 ExperimentResult Replay(StorageDevice* device, IoScheduler* scheduler,
                         const std::vector<Request>& requests, const ReplayConfig& config,
                         TraceTrack trace) {
+  if (config.mode == ArrivalMode::kOpen) {
+    // Faithful replay: one arrival event per record at its timestamp.
+    return RunOpenLoop(device, scheduler, requests, trace);
+  }
+  MSTK_CHECK(config.window >= 1, "windowed replay needs window >= 1");
   device->Reset();
   scheduler->Reset();
 
@@ -78,41 +83,24 @@ ExperimentResult Replay(StorageDevice* device, IoScheduler* scheduler,
   ExperimentResult result;
   Driver driver(&sim, device, scheduler, &result.metrics);
   driver.set_trace(trace);
-  if (config.fault_model != nullptr) {
-    driver.EnableRecovery(config.fault_model, config.recovery);
-  }
 
   ReplayState state;
-  switch (config.mode) {
-    case ArrivalMode::kOpen:
-      // Faithful replay: one arrival event per record at its timestamp.
-      for (const Request& req : requests) {
-        const Request* arrival = &req;  // outlives the run; pointer capture
-        sim.ScheduleAt(req.arrival_ms, [&driver, arrival] { driver.Submit(*arrival); });
-      }
-      break;
-    case ArrivalMode::kClosed:
-    case ArrivalMode::kHybrid: {
-      MSTK_CHECK(config.window >= 1, "windowed replay needs window >= 1");
-      state.sim = &sim;
-      state.driver = &driver;
-      state.requests = &requests;
-      state.window = config.window;
-      state.keep_recorded_arrivals = config.mode == ArrivalMode::kHybrid;
-      ReplayState* sp = &state;
-      driver.set_on_complete([sp](const Request&, TimeMs) { sp->OnComplete(); });
-      if (config.mode == ArrivalMode::kClosed) {
-        // Timestamps are demand order only: everything is eligible at t=0.
-        state.eligible = requests.size();
-        sim.ScheduleAt(0.0, [sp] { sp->TryAdmit(); });
-      } else {
-        // Eligibility tracks recorded arrivals; the window throttles
-        // submission. Arrivals are sorted, so a counter is the FIFO.
-        for (const Request& req : requests) {
-          sim.ScheduleAt(req.arrival_ms, [sp] { sp->Arrive(); });
-        }
-      }
-      break;
+  state.sim = &sim;
+  state.driver = &driver;
+  state.requests = &requests;
+  state.window = config.window;
+  state.keep_recorded_arrivals = config.mode == ArrivalMode::kHybrid;
+  ReplayState* sp = &state;
+  driver.set_on_complete([sp](const Request&, TimeMs) { sp->OnComplete(); });
+  if (config.mode == ArrivalMode::kClosed) {
+    // Timestamps are demand order only: everything is eligible at t=0.
+    state.eligible = requests.size();
+    sim.ScheduleAt(0.0, [sp] { sp->TryAdmit(); });
+  } else {
+    // Eligibility tracks recorded arrivals; the window throttles
+    // submission. Arrivals are sorted, so a counter is the FIFO.
+    for (const Request& req : requests) {
+      sim.ScheduleAt(req.arrival_ms, [sp] { sp->Arrive(); });
     }
   }
 

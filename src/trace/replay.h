@@ -1,14 +1,14 @@
 // Trace replay through the standard Driver/MetricsCollector I/O path.
 //
-// A TraceReplayer is a workload source pluggable exactly where the synthetic
-// generators plug in today: it feeds a parsed trace into a Driver, so phase
-// breakdowns, Chrome traces, and fault injection all work on replayed load
-// unchanged. The §4.3 footnote's open-versus-closed criticism is addressed
-// with three arrival-control modes:
+// Replay feeds a request stream (usually ToRequests() of a parsed trace)
+// into a Driver exactly where the synthetic generators plug in, so phase
+// breakdowns and Chrome traces work on replayed load unchanged. The §4.3
+// footnote's open-versus-closed criticism is addressed with three
+// arrival-control modes:
 //
-//   kOpen    submit every request at its recorded timestamp. Faithful to the
-//            captured arrival process, but no completion feedback — a slow
-//            device just builds queue.
+//   kOpen    submit every request at its recorded timestamp: RunOpenLoop.
+//            Faithful to the captured arrival process, but no completion
+//            feedback — a slow device just builds queue.
 //   kClosed  ignore timestamps entirely: keep `window` requests outstanding,
 //            submitting the next record as soon as a completion frees a
 //            slot. Models the trace's demand under full feedback.
@@ -16,6 +16,9 @@
 //            window slot: submission time is max(recorded arrival, slot
 //            free). Keeps the captured arrival shape while bounding the
 //            fan-in a real client pool would impose.
+//
+// Fault-injected replay is the open loop of RunFaultInjectedOpenLoop
+// (src/fault/fault_experiment.h).
 #ifndef MSTK_SRC_TRACE_REPLAY_H_
 #define MSTK_SRC_TRACE_REPLAY_H_
 
@@ -24,7 +27,6 @@
 
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
-#include "src/core/fault_model.h"
 #include "src/core/io_scheduler.h"
 #include "src/core/storage_device.h"
 #include "src/sim/trace_writer.h"
@@ -43,10 +45,6 @@ struct ReplayConfig {
   ArrivalMode mode = ArrivalMode::kOpen;
   // Outstanding-request bound for kClosed / kHybrid (ignored by kOpen).
   int window = 8;
-  // Optional fault injection: when set, the driver runs its §6 recovery path
-  // on the replayed load.
-  FaultModel* fault_model = nullptr;
-  RecoveryPolicy recovery;
 };
 
 // Replays a request stream (usually ToRequests() of a parsed trace, already
@@ -55,23 +53,6 @@ struct ReplayConfig {
 ExperimentResult Replay(StorageDevice* device, IoScheduler* scheduler,
                         const std::vector<Request>& requests, const ReplayConfig& config,
                         TraceTrack trace = {});
-
-// Convenience wrapper owning the record->request conversion.
-class TraceReplayer {
- public:
-  explicit TraceReplayer(const ParsedTrace& parsed) : requests_(ToRequests(parsed)) {}
-  explicit TraceReplayer(std::vector<Request> requests) : requests_(std::move(requests)) {}
-
-  const std::vector<Request>& requests() const { return requests_; }
-
-  ExperimentResult Run(StorageDevice* device, IoScheduler* scheduler,
-                       const ReplayConfig& config, TraceTrack trace = {}) const {
-    return Replay(device, scheduler, requests_, config, trace);
-  }
-
- private:
-  std::vector<Request> requests_;
-};
 
 }  // namespace trace
 }  // namespace mstk

@@ -8,6 +8,7 @@
 #include "src/array/array_experiment.h"
 #include "src/core/trial_runner.h"
 #include "src/mems/mems_device.h"
+#include "src/sched/sched_kind.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/simulator.h"
 
@@ -16,6 +17,11 @@ namespace {
 
 constexpr int64_t kExtent = 2048;
 constexpr int32_t kChunk = 512;
+
+// Scheduler factory for the test rigs: every member under FCFS.
+const auto kFcfsMembers = [](const StorageDevice* device) {
+  return MakeScheduler(SchedKind::kFcfs, device);
+};
 
 ArrayManagerConfig SmallArrayConfig(RebuildPolicy policy = RebuildPolicy::kIdle) {
   ArrayManagerConfig config;
@@ -45,7 +51,7 @@ struct Rig {
       devices.push_back(owned.back().get());
     }
     metrics.set_exclude_background(true);
-    manager = std::make_unique<ArrayManager>(&sim, config, devices, MakeFcfsFactory(),
+    manager = std::make_unique<ArrayManager>(&sim, config, devices, kFcfsMembers,
                                              &metrics);
   }
 
@@ -214,7 +220,7 @@ TEST(ArrayManagerTest, RestoredSuperblockResumesRebuildFromCursor) {
   // and resumes the copy at the cursor instead of from zero.
   Rig rig2(config, /*device_count=*/5);
   MetricsCollector metrics2;
-  ArrayManager restored(&rig2.sim, config, rig2.devices, MakeFcfsFactory(), &metrics2,
+  ArrayManager restored(&rig2.sim, config, rig2.devices, kFcfsMembers, &metrics2,
                         saved);
   EXPECT_EQ(restored.state(), ArrayState::kRebuilding);
   EXPECT_EQ(restored.superblock().rebuild_cursor_blocks, cursor);
@@ -254,7 +260,6 @@ TEST(ArrayManagerTest, TrialHarnessReportsLifecycleAndIsJobsInvariant) {
   ArrayRunConfig config;
   config.manager = SmallArrayConfig(RebuildPolicy::kGreedy);
   config.spares = 1;
-  config.use_sptf = true;
   config.workload.request_count = 150;
   config.workload.arrival_rate_per_s = 2000.0;
   config.fail_device = 1;

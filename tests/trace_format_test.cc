@@ -287,13 +287,14 @@ TEST(TraceReplayTest, HybridWaitsForRecordedArrivals) {
 }
 
 TEST(TraceReplayTest, ReplayerWrapperConvertsRecords) {
+  // Parsed records replay through ToRequests + Replay, one request each.
   ParsedTrace parsed;
   parsed.records = SampleRecords();
-  const TraceReplayer replayer(parsed);
-  ASSERT_EQ(replayer.requests().size(), 4u);
+  const std::vector<Request> requests = ToRequests(parsed);
+  ASSERT_EQ(requests.size(), 4u);
   MemsDevice device;
   FcfsScheduler sched;
-  const ExperimentResult result = replayer.Run(&device, &sched, ReplayConfig{});
+  const ExperimentResult result = Replay(&device, &sched, requests, ReplayConfig{});
   EXPECT_EQ(result.metrics.completed(), 4);
 }
 

@@ -27,6 +27,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -46,20 +47,24 @@ struct SweepCell {
   std::function<TrialMetrics(uint64_t seed, TraceTrack trace)> trial;
 };
 
-constexpr SchedKind kAllScheds[] = {SchedKind::kFcfs, SchedKind::kSstfLbn,
-                                    SchedKind::kClook, SchedKind::kSptf};
+// A cell that runs one TrialSpec.
+SweepCell SpecCell(std::string name, int64_t seed_offset, const TrialSpec& spec) {
+  auto trial = [spec](uint64_t seed, TraceTrack trace) {
+    return MetricsFromExperiment(RunTrial(spec, seed, trace));
+  };
+  return {std::move(name), seed_offset, std::move(trial)};
+}
 
 void AddRateCells(std::vector<SweepCell>& cells, const std::vector<SchedKind>& scheds,
                   const std::vector<double>& rates, int64_t count) {
   for (size_t r = 0; r < rates.size(); ++r) {
     for (SchedKind sched : scheds) {
-      const double rate = rates[r];
-      cells.push_back({"rate" + Fmt("%.0f", rate) + "/" + SchedKindName(sched),
-                       static_cast<int64_t>(r),
-                       [sched, rate, count](uint64_t seed, TraceTrack trace) {
-                         return MetricsFromExperiment(
-                             RunRandomSchedTrial(sched, rate, count, seed, trace));
-                       }});
+      TrialSpec spec;
+      spec.sched = sched;
+      spec.rate = rates[r];
+      spec.count = count;
+      cells.push_back(SpecCell("rate" + Fmt("%.0f", spec.rate) + "/" + SchedKindName(sched),
+                               static_cast<int64_t>(r), spec));
     }
   }
 }
@@ -72,7 +77,7 @@ std::vector<SweepCell> BuildSmoke() {
 
 std::vector<SweepCell> BuildSchedRandom() {
   std::vector<SweepCell> cells;
-  AddRateCells(cells, std::vector<SchedKind>(std::begin(kAllScheds), std::end(kAllScheds)),
+  AddRateCells(cells, std::vector<SchedKind>(std::begin(kPaperScheds), std::end(kPaperScheds)),
                {200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000}, 10000);
   return cells;
 }
@@ -84,13 +89,13 @@ std::vector<SweepCell> BuildFaults() {
   std::vector<SweepCell> cells;
   auto add_fault_cell = [&cells](const std::string& label, int64_t offset, SchedKind sched,
                                  double rate, int64_t count, FaultRunConfig config, bool disk) {
-    cells.push_back({label, offset,
-                     [sched, rate, count, config, disk](uint64_t seed, TraceTrack trace) {
-                       return MetricsFromExperiment(
-                           disk ? RunFaultedDiskTrial(sched, rate, count, config, seed, trace)
-                                : RunFaultedRandomTrial(sched, rate, count, config, seed,
-                                                        trace));
-                     }});
+    TrialSpec spec;
+    spec.device = disk ? TrialDevice::kDisk : TrialDevice::kMems;
+    spec.sched = sched;
+    spec.rate = rate;
+    spec.count = count;
+    spec.faults = config;
+    cells.push_back(SpecCell(label, offset, spec));
   };
   FaultRunConfig transient;
   transient.injector.transient_rate = 0.02;
@@ -127,19 +132,21 @@ std::vector<SweepCell> BuildLayouts() {
   std::vector<SweepCell> cells;
   const struct {
     const char* label;
-    bool cello;
+    TrialSource source;
     int64_t offset;
-  } kWorkloads[] = {{"bipartite", false, 200}, {"cello", true, 201}};
+  } kWorkloads[] = {{"bipartite", TrialSource::kBipartite, 200},
+                    {"cello", TrialSource::kCello, 201}};
   for (const auto& wl : kWorkloads) {
     for (const LayoutPolicy* policy : AllLayoutPolicies()) {
       for (SchedKind sched : {SchedKind::kFcfs, SchedKind::kSptf}) {
-        cells.push_back(
-            {std::string(policy->name()) + "/" + wl.label + "/" + SchedKindName(sched),
-             wl.offset,
-             [policy, cello = wl.cello, sched](uint64_t seed, TraceTrack trace) {
-               return MetricsFromExperiment(
-                   RunLayoutSchedTrial(*policy, cello, sched, 4000, seed, trace));
-             }});
+        TrialSpec spec;
+        spec.sched = sched;
+        spec.source = wl.source;
+        spec.count = 4000;
+        spec.layout = policy;
+        const std::string name =
+            std::string(policy->name()) + "/" + wl.label + "/" + SchedKindName(sched);
+        cells.push_back(SpecCell(name, wl.offset, spec));
       }
     }
   }
@@ -193,15 +200,16 @@ std::vector<SweepCell> BuildSchedTrace(bool cello) {
   const std::vector<double> scales = cello ? std::vector<double>{1, 2, 4, 8, 12, 16, 20}
                                            : std::vector<double>{1, 2, 4, 6, 8, 10, 12};
   for (const double scale : scales) {
-    for (SchedKind sched : kAllScheds) {
-      cells.push_back({std::string(cello ? "cello" : "tpcc") + "_scale" + Fmt("%.0f", scale) +
-                           "/" + SchedKindName(sched),
-                       0,  // same base trace at every scale, as in the paper
-                       [cello, sched, scale](uint64_t seed, TraceTrack trace) {
-                         return MetricsFromExperiment(
-                             cello ? RunCelloSchedTrial(sched, scale, 20000, seed, trace)
-                                   : RunTpccSchedTrial(sched, scale, 20000, seed, trace));
-                       }});
+    for (SchedKind sched : kPaperScheds) {
+      TrialSpec spec;
+      spec.sched = sched;
+      spec.source = cello ? TrialSource::kCello : TrialSource::kTpcc;
+      spec.scale = scale;
+      spec.count = 20000;
+      const std::string name = std::string(cello ? "cello" : "tpcc") + "_scale" +
+                               Fmt("%.0f", scale) + "/" + SchedKindName(sched);
+      // Offset 0 everywhere: the same base trace at every scale, as in the paper.
+      cells.push_back(SpecCell(name, 0, spec));
     }
   }
   return cells;
@@ -226,28 +234,25 @@ std::vector<SweepCell> BuildTraces() {
     const int64_t offset = 400 + static_cast<int64_t>(s);
     for (const LayoutPolicy* layout : kLayouts) {
       for (SchedKind sched : {SchedKind::kFcfs, SchedKind::kSptf}) {
-        cells.push_back({scenario + "/" + layout->name() + "/" + SchedKindName(sched), offset,
-                         [scenario, layout, sched](uint64_t seed, TraceTrack trace) {
-                           ScenarioReplaySpec spec;
-                           spec.scenario = scenario;
-                           spec.layout = layout;
-                           spec.sched = sched;
-                           return MetricsFromExperiment(
-                               RunScenarioReplayTrial(spec, seed, trace));
-                         }});
+        TrialSpec spec;
+        spec.sched = sched;
+        spec.source = TrialSource::kScenario;
+        spec.scenario = scenario;
+        spec.layout = layout;
+        cells.push_back(
+            SpecCell(scenario + "/" + layout->name() + "/" + SchedKindName(sched), offset, spec));
       }
     }
   }
   for (const trace::ArrivalMode mode :
        {trace::ArrivalMode::kClosed, trace::ArrivalMode::kHybrid}) {
-    cells.push_back({std::string("oltp_burst/") + trace::ArrivalModeName(mode) + "/SPTF", 401,
-                     [mode](uint64_t seed, TraceTrack trace) {
-                       ScenarioReplaySpec spec;
-                       spec.scenario = "oltp_burst";
-                       spec.sched = SchedKind::kSptf;
-                       spec.mode = mode;
-                       return MetricsFromExperiment(RunScenarioReplayTrial(spec, seed, trace));
-                     }});
+    TrialSpec spec;
+    spec.sched = SchedKind::kSptf;
+    spec.source = TrialSource::kScenario;
+    spec.scenario = "oltp_burst";
+    spec.arrival = mode;
+    cells.push_back(
+        SpecCell(std::string("oltp_burst/") + trace::ArrivalModeName(mode) + "/SPTF", 401, spec));
   }
   return cells;
 }

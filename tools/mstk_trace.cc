@@ -30,11 +30,7 @@
 #include "src/core/experiment.h"
 #include "src/disk/disk_device.h"
 #include "src/mems/mems_device.h"
-#include "src/sched/clook.h"
-#include "src/sched/fcfs.h"
-#include "src/sched/look.h"
-#include "src/sched/sptf.h"
-#include "src/sched/sstf_lbn.h"
+#include "src/sched/sched_kind.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
@@ -244,21 +240,11 @@ int CmdReplay(int argc, char** argv) {
     requests = ClampTraceToCapacity(requests, device->CapacityBlocks());
   }
 
-  std::unique_ptr<IoScheduler> scheduler;
-  const std::string sched_name = argv[4];
-  if (sched_name == "fcfs") {
-    scheduler = std::make_unique<FcfsScheduler>();
-  } else if (sched_name == "sstf") {
-    scheduler = std::make_unique<SstfLbnScheduler>();
-  } else if (sched_name == "clook") {
-    scheduler = std::make_unique<ClookScheduler>();
-  } else if (sched_name == "look") {
-    scheduler = std::make_unique<LookScheduler>();
-  } else if (sched_name == "sptf") {
-    scheduler = std::make_unique<SptfScheduler>(device.get());
-  } else {
+  SchedKind sched_kind;
+  if (!ParseSchedKind(argv[4], &sched_kind)) {
     return Usage();
   }
+  const std::unique_ptr<IoScheduler> scheduler = MakeScheduler(sched_kind, device.get());
 
   ExperimentResult result = trace::Replay(device.get(), scheduler.get(), requests, replay);
   std::printf("device=%s scheduler=%s scale=%.1f mode=%s requests=%zu\n", device->name(),
