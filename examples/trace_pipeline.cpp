@@ -1,8 +1,8 @@
-// Trace pipeline: the library's workload tooling end to end — generate a
-// synthetic trace, write it to disk, read it back, characterize it, scale
-// it, and replay it against both device models under two schedulers.
-// (The same flow works for imported DiskSim-format traces via
-// ReadDiskSimTrace / `mstk_trace convert`.)
+// Trace pipeline: the library's trace tooling end to end — generate a
+// synthetic workload, write it as a v1 trace, read it back, characterize
+// it, scale it, and replay it against both device models under two
+// schedulers. (DiskSim-format traces join the same flow after
+// `mstk_trace convert` imports them as v1.)
 //
 // Run: ./build/examples/trace_pipeline
 #include <cstdio>
@@ -14,9 +14,11 @@
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
 #include "src/sim/rng.h"
+#include "src/trace/format.h"
+#include "src/trace/replay.h"
+#include "src/trace/transforms.h"
 #include "src/workload/analysis.h"
 #include "src/workload/cello_like.h"
-#include "src/workload/trace.h"
 
 int main() {
   using namespace mstk;
@@ -27,39 +29,43 @@ int main() {
   config.request_count = 15000;
   config.capacity_blocks = mems.CapacityBlocks();
   Rng rng(23);
-  const auto generated = GenerateCelloLike(config, rng);
+  trace::TraceWriter writer;
+  for (const trace::TraceRecord& record : trace::FromRequests(GenerateCelloLike(config, rng))) {
+    writer.Append(record);
+  }
   const std::string path =
       (std::filesystem::temp_directory_path() / "pipeline.trace").string();
-  if (!WriteTraceFile(path, generated)) {
+  if (!writer.WriteFile(path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
 
   // 2. Load and characterize it.
   std::string error;
-  auto trace = ReadTraceFile(path, &error);
-  if (trace.empty()) {
+  trace::ParsedTrace parsed;
+  if (!trace::ReadTraceFile(path, &parsed, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   std::printf("trace written to %s\n\n%s\n", path.c_str(),
-              FormatProfile(AnalyzeWorkload(trace)).c_str());
+              FormatProfile(AnalyzeWorkload(trace::ToRequests(parsed))).c_str());
 
-  // 3. Scale it up 8x and replay on both devices.
-  trace = ScaleTrace(trace, 8.0);
+  // 3. Scale it up 8x and replay on both devices, clamping addresses to
+  //    each device's capacity.
+  const std::vector<trace::TraceRecord> warped = trace::TimeWarp(parsed.records, 8.0);
   DiskDevice disk;
-  const auto disk_trace = ClampTraceToCapacity(trace, disk.CapacityBlocks());
-
   std::printf("replay at 8x (mean response / p99, ms):\n");
-  for (const bool use_mems : {true, false}) {
-    StorageDevice* device = use_mems ? static_cast<StorageDevice*>(&mems)
-                                     : static_cast<StorageDevice*>(&disk);
-    const auto& requests = use_mems ? trace : disk_trace;
+  for (StorageDevice* device : {static_cast<StorageDevice*>(&mems),
+                                static_cast<StorageDevice*>(&disk)}) {
+    const trace::ParsedTrace fitted{
+        trace::kTraceVersion,
+        trace::RemapToCapacity(warped, device->CapacityBlocks(), trace::RemapMode::kClamp)};
+    const std::vector<Request> requests = trace::ToRequests(fitted);
     FcfsScheduler fcfs;
     SptfScheduler sptf(device);
     for (IoScheduler* sched : {static_cast<IoScheduler*>(&fcfs),
                                static_cast<IoScheduler*>(&sptf)}) {
-      ExperimentResult r = RunOpenLoop(device, sched, requests);
+      ExperimentResult r = trace::Replay(device, sched, requests, trace::ReplayConfig{});
       std::printf("  %-5s %-6s %10.3f %10.3f\n", device->name(), sched->name(),
                   r.MeanResponseMs(), r.metrics.ResponseQuantile(0.99));
     }

@@ -1,7 +1,6 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
@@ -13,13 +12,9 @@ constexpr uint64_t kMinBuckets = 16;
 // ~8M live events degrade gracefully to a few nodes per bucket.
 constexpr uint64_t kMaxBuckets = uint64_t{1} << 22;
 
-// Lazy-removal bound shared by both backends: once entries are non-trivial
-// and more than half dead, rebuild. The size floor keeps tiny queues from
-// rebuilding constantly.
+// Lazy-removal bound: once entries are non-trivial and more than half dead,
+// prune. The size floor keeps tiny queues from pruning constantly.
 constexpr int64_t kCompactMinEntries = 64;
-
-std::atomic<EventQueue::Backend> g_default_backend{
-    EventQueue::Backend::kCalendar};
 
 uint64_t NextPow2(uint64_t v) {
   uint64_t p = kMinBuckets;
@@ -31,23 +26,8 @@ uint64_t NextPow2(uint64_t v) {
 
 }  // namespace
 
-EventQueue::Backend EventQueue::DefaultBackend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
-
-void EventQueue::SetDefaultBackend(Backend backend) {
-  g_default_backend.store(backend, std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::kCalendar) {
-    bucket_count_ = kMinBuckets;
-    bucket_mask_ = bucket_count_ - 1;
-    width_ms_ = 1.0;
-    inv_width_ = 1.0 / width_ms_;
-    buckets_.assign(bucket_count_, kNil);
-  }
-}
+EventQueue::EventQueue()
+    : buckets_(kMinBuckets, kNil), bucket_count_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
 
 int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
   const uint32_t slot = pool_.Acquire();
@@ -59,26 +39,20 @@ int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
   node.next = kNil;
   const int64_t id = EncodeId(slot, node.gen);
   ++live_;
-  if (backend_ == Backend::kCalendar) {
-    min_slot_ = kNil;
-    // A push may precede the located minimum (a run stopped at a horizon
-    // short of it); keep the floor a lower bound on every live event.
-    min_time_floor_ = std::min(min_time_floor_, at_ms);
-    CalendarInsert(slot);
-    if (static_cast<uint64_t>(live_) > bucket_count_ * 2 &&
-        bucket_count_ < kMaxBuckets) {
-      // Over-allocate 8x: every resize re-threads the whole population, so
-      // growing geometrically both bounds total re-thread work (~1.15 links
-      // per event pushed vs ~2 with exact doubling) and keeps the largest
-      // rebuild small enough to stay cache-resident. The walk cost of the
-      // sparser ring is a few empty head slots per pop — a cache line or
-      // two. The shrink threshold leaves a wide hysteresis band so a
-      // grow/pop/push ripple never ping-pongs resizes.
-      CalendarResize(NextPow2(static_cast<uint64_t>(live_) * 8));
-    }
-  } else {
-    heap_.push_back(Key{at_ms, node.seq, slot, node.gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  min_slot_ = kNil;
+  // A push may precede the located minimum (a run stopped at a horizon
+  // short of it); keep the floor a lower bound on every live event.
+  min_time_floor_ = std::min(min_time_floor_, at_ms);
+  CalendarInsert(slot);
+  if (static_cast<uint64_t>(live_) > bucket_count_ * 2 && bucket_count_ < kMaxBuckets) {
+    // Over-allocate 8x: every resize re-threads the whole population, so
+    // growing geometrically both bounds total re-thread work (~1.15 links
+    // per event pushed vs ~2 with exact doubling) and keeps the largest
+    // rebuild small enough to stay cache-resident. The walk cost of the
+    // sparser ring is a few empty head slots per pop — a cache line or
+    // two. The shrink threshold leaves a wide hysteresis band so a
+    // grow/pop/push ripple never ping-pongs resizes.
+    CalendarResize(NextPow2(static_cast<uint64_t>(live_) * 8));
   }
   return id;
 }
@@ -107,35 +81,19 @@ bool EventQueue::Cancel(int64_t event_id) {
     return false;
   }
   Node& node = pool_[slot];
-  // The entry stays linked (chain or heap) until pruned; bumping the
+  // The entry stays linked in its bucket chain until pruned; bumping the
   // generation marks it dead for every later liveness check.
   node.cb.Reset();
   ++node.gen;
   --live_;
   ++dead_;
-  if (backend_ == Backend::kHeap) {
-    if (static_cast<int64_t>(heap_.size()) >= kCompactMinEntries &&
-        live_ * 2 < static_cast<int64_t>(heap_.size())) {
-      HeapCompact();
-    }
-  } else {
-    min_slot_ = kNil;
-    if (live_ + dead_ >= kCompactMinEntries && live_ < dead_) {
-      CalendarPruneDead();
-    }
-    MaybeShrink();
+  min_slot_ = kNil;
+  if (live_ + dead_ >= kCompactMinEntries && live_ < dead_) {
+    CalendarPruneDead();
   }
+  MaybeShrink();
   return true;
 }
-
-int64_t EventQueue::heap_entries() const {
-  if (backend_ == Backend::kHeap) {
-    return static_cast<int64_t>(heap_.size());
-  }
-  return live_ + dead_;
-}
-
-// --- calendar backend ---
 
 void EventQueue::CalendarInsert(uint32_t slot) {
   Node& node = pool_[slot];
@@ -312,51 +270,13 @@ void EventQueue::MaybeShrink() {
   }
 }
 
-// --- heap backend ---
-
-void EventQueue::HeapSkipCancelled() {
-  while (!heap_.empty()) {
-    const Key& top = heap_.front();
-    const Node& node = pool_[top.slot];
-    if (node.gen == top.gen && node.cb) {
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    --dead_;
-    pool_.Release(heap_.back().slot);
-    heap_.pop_back();
-  }
-}
-
-void EventQueue::HeapCompact() {
-  auto stale = [this](const Key& key) {
-    const Node& node = pool_[key.slot];
-    if (node.gen == key.gen && node.cb) {
-      return false;
-    }
-    --dead_;
-    pool_.Release(key.slot);
-    return true;
-  };
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-// --- common pop path ---
+// --- pop path ---
 
 uint32_t EventQueue::ExtractMinSlot(TimeMs* time_out) {
   assert(live_ > 0 && "pop on empty EventQueue");
-  uint32_t slot;
-  if (backend_ == Backend::kCalendar) {
-    slot = CalendarLocateMin();
-    CalendarUnlink(min_bucket_, min_prev_, slot);
-    min_slot_ = kNil;
-  } else {
-    HeapSkipCancelled();
-    slot = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+  const uint32_t slot = CalendarLocateMin();
+  CalendarUnlink(min_bucket_, min_prev_, slot);
+  min_slot_ = kNil;
   --live_;
   *time_out = pool_[slot].time_ms;
   return slot;
@@ -367,18 +287,12 @@ void EventQueue::RecycleNode(uint32_t slot) {
   node.cb.Reset();
   ++node.gen;  // ids handed out for this incarnation are now stale
   pool_.Release(slot);
-  if (backend_ == Backend::kCalendar) {
-    MaybeShrink();
-  }
+  MaybeShrink();
 }
 
 TimeMs EventQueue::PeekTime() {
   assert(!Empty() && "PeekTime on empty queue");
-  if (backend_ == Backend::kCalendar) {
-    return pool_[CalendarLocateMin()].time_ms;
-  }
-  HeapSkipCancelled();
-  return heap_.front().time_ms;
+  return pool_[CalendarLocateMin()].time_ms;
 }
 
 EventQueue::Event EventQueue::Pop() {
@@ -402,9 +316,7 @@ void EventQueue::FireNext(TimeMs* now_ms) {
   node.cb();  // in place — the callback is never moved or copied
   node.cb.Reset();
   pool_.Release(slot);
-  if (backend_ == Backend::kCalendar) {
-    MaybeShrink();
-  }
+  MaybeShrink();
 }
 
 }  // namespace mstk

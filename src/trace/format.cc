@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,20 @@ bool ParseInt(const std::string& line, size_t* pos, int64_t* value) {
   return true;
 }
 
+// Parses a finite double token starting at `*pos`; advances past it.
+bool ParseDouble(const std::string& line, size_t* pos, double* value) {
+  const char* begin = line.c_str() + *pos;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *value = v;
+  *pos += static_cast<size_t>(end - begin);
+  return true;
+}
+
 bool SkipSpaces(const std::string& line, size_t* pos) {
   const size_t start = *pos;
   while (*pos < line.size() && (line[*pos] == ' ' || line[*pos] == '\t')) {
@@ -61,6 +76,63 @@ bool Fail(std::string* error, const std::string& message, int64_t line_no, Parse
   }
   out->records.clear();
   return false;
+}
+
+// The address checks every format shares; nullptr when in range.
+const char* AddressError(int64_t lba, int64_t blocks) {
+  if (lba < 0) {
+    return "out-of-range lba (must be >= 0)";
+  }
+  if (blocks <= 0 || blocks > kMaxRecordBlocks) {
+    return "out-of-range blocks (must be in [1, 2^20])";
+  }
+  return nullptr;
+}
+
+// A legacy arrival time of `value` units, each `us_per_unit` microseconds,
+// as integer microseconds rounded half-up (TimeWarp's rounding). False when
+// negative or too large for int64 microseconds.
+bool ToMicros(double value, double us_per_unit, int64_t* us) {
+  const double rounded = std::floor(value * us_per_unit + 0.5);
+  if (value < 0.0 || !(rounded < 9.0e18)) {
+    return false;
+  }
+  *us = static_cast<int64_t>(rounded);
+  return true;
+}
+
+// The import loop both legacy forms share: `parse_line(line, &record, &keep)`
+// returns nullptr and fills `record` for a valid line (clearing `keep` to
+// filter it out), or returns the error message.
+template <typename ParseLine>
+bool ImportLines(const std::string& bytes, ParsedTrace* out, std::string* error,
+                 ParseLine parse_line) {
+  out->records.clear();
+  out->version = 0;
+  std::istringstream in(bytes);
+  std::string line;
+  int64_t line_no = 0;
+  int64_t last_timestamp_us = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    TraceRecord record;
+    bool keep = true;
+    if (const char* message = parse_line(line, &record, &keep)) {
+      return Fail(error, message, line_no, out);
+    }
+    if (record.timestamp_us < last_timestamp_us) {
+      return Fail(error, "arrival time runs backwards (trace must be arrival-sorted)", line_no,
+                  out);
+    }
+    last_timestamp_us = record.timestamp_us;
+    if (keep) {
+      out->records.push_back(record);
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -171,11 +243,8 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
       return Fail(error, "timestamp_us runs backwards (trace must be arrival-sorted)", line_no,
                   out);
     }
-    if (record.lba < 0) {
-      return Fail(error, "out-of-range lba (must be >= 0)", line_no, out);
-    }
-    if (blocks64 <= 0 || blocks64 > kMaxRecordBlocks) {
-      return Fail(error, "out-of-range blocks (must be in [1, 2^20])", line_no, out);
+    if (const char* message = AddressError(record.lba, blocks64)) {
+      return Fail(error, message, line_no, out);
     }
     if (client64 < 0 || client64 > INT32_MAX) {
       return Fail(error, "out-of-range client id", line_no, out);
@@ -189,6 +258,20 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
 }
 
 bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error) {
+  std::string bytes;
+  if (!ReadFileBytes(path, &bytes, error)) {
+    return false;
+  }
+  if (!ParseTrace(bytes, out, error)) {
+    if (error != nullptr) {
+      *error = path + ": " + *error;
+    }
+    return false;
+  }
+  return true;
+}
+
+bool ReadFileBytes(const std::string& path, std::string* bytes, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (error != nullptr) {
@@ -198,13 +281,80 @@ bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  if (!ParseTrace(buffer.str(), out, error)) {
-    if (error != nullptr) {
-      *error = path + ": " + *error;
-    }
-    return false;
-  }
+  *bytes = std::move(buffer).str();
   return true;
+}
+
+bool ImportV0Trace(const std::string& bytes, ParsedTrace* out, std::string* error) {
+  return ImportLines(bytes, out, error, [](const std::string& line, TraceRecord* r, bool*) {
+    size_t pos = 0;
+    double arrival_ms = 0.0;
+    int64_t blocks = 0;
+    SkipSpaces(line, &pos);
+    if (!ParseDouble(line, &pos, &arrival_ms)) {
+      return "malformed arrival_ms field";
+    }
+    if (!SkipSpaces(line, &pos) || pos >= line.size() ||
+        (line[pos] != 'R' && line[pos] != 'W')) {
+      return "malformed op field (expected R or W)";
+    }
+    r->op = line[pos] == 'R' ? IoType::kRead : IoType::kWrite;
+    ++pos;
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &r->lba)) {
+      return "malformed lbn field";
+    }
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &blocks)) {
+      return "malformed block_count field";
+    }
+    SkipSpaces(line, &pos);
+    if (pos != line.size()) {
+      return "trailing garbage after block_count field";
+    }
+    if (!ToMicros(arrival_ms, kUsPerMs, &r->timestamp_us)) {
+      return "out-of-range arrival_ms";
+    }
+    r->blocks = static_cast<int32_t>(blocks);
+    return AddressError(r->lba, blocks);
+  });
+}
+
+bool ImportDiskSimTrace(const std::string& bytes, int devno, ParsedTrace* out,
+                        std::string* error) {
+  return ImportLines(bytes, out, error, [devno](const std::string& line, TraceRecord* r,
+                                                bool* keep) {
+    size_t pos = 0;
+    double arrival_s = 0.0;
+    int64_t dev = 0;
+    int64_t blocks = 0;
+    int64_t flags = 0;
+    SkipSpaces(line, &pos);
+    if (!ParseDouble(line, &pos, &arrival_s)) {
+      return "malformed arrival_seconds field";
+    }
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &dev)) {
+      return "malformed devno field";
+    }
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &r->lba)) {
+      return "malformed blkno field";
+    }
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &blocks)) {
+      return "malformed size_blocks field";
+    }
+    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &flags)) {
+      return "malformed flags field";
+    }
+    SkipSpaces(line, &pos);
+    if (pos != line.size()) {
+      return "trailing garbage after flags field";
+    }
+    if (!ToMicros(arrival_s, kUsPerMs * kMsPerSecond, &r->timestamp_us)) {
+      return "out-of-range arrival_seconds";
+    }
+    r->blocks = static_cast<int32_t>(blocks);
+    r->op = (flags & 1) != 0 ? IoType::kRead : IoType::kWrite;
+    *keep = devno < 0 || dev == devno;
+    return AddressError(r->lba, blocks);
+  });
 }
 
 std::vector<Request> ToRequests(const ParsedTrace& trace) {

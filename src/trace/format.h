@@ -31,6 +31,11 @@
 // backwards all fail the whole document with a line-numbered error. Replay
 // experiments must never silently skip records — a half-parsed trace is a
 // different workload.
+//
+// Two legacy text forms are import-only (there is no writer for them; tools
+// write v1): the v0 form `<arrival_ms> <R|W> <lbn> <block_count>` and
+// DiskSim's ASCII form [GWP98], the format the paper's own traces came in.
+// The importers are held to the same rules as the parser.
 #ifndef MSTK_SRC_TRACE_FORMAT_H_
 #define MSTK_SRC_TRACE_FORMAT_H_
 
@@ -62,6 +67,7 @@ struct TraceRecord {
 };
 
 // A parsed trace document: format version plus the validated record stream.
+// Records imported from a legacy form carry version 0.
 struct ParsedTrace {
   int version = kTraceVersion;
   std::vector<TraceRecord> records;
@@ -105,6 +111,26 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error);
 
 // File wrapper around ParseTrace.
 bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error);
+
+// Reads a whole file. On failure sets `*error` to "cannot open <path>".
+bool ReadFileBytes(const std::string& path, std::string* bytes, std::string* error);
+
+// Imports a v0 document: one `<arrival_ms> <R|W> <lbn> <block_count>` record
+// per line, '#' comments and blank lines ignored. Arrivals convert to
+// integer microseconds, rounding half-up. Fails like ParseTrace: a malformed
+// or out-of-range record, or a timestamp running backwards, empties `out`
+// and sets a line-numbered `*error`.
+bool ImportV0Trace(const std::string& bytes, ParsedTrace* out, std::string* error);
+
+// Imports a DiskSim ASCII trace: five fields per line,
+//
+//     <arrival_seconds> <devno> <blkno> <size_blocks> <flags>
+//
+// where bit 0 of `flags` set means READ (DiskSim convention). Records of
+// devices other than `devno` are validated and skipped (-1 keeps all).
+// Same conversion and failure rules as ImportV0Trace.
+bool ImportDiskSimTrace(const std::string& bytes, int devno, ParsedTrace* out,
+                        std::string* error);
 
 // Converts records to simulator requests: timestamps become arrival_ms, ids
 // are assigned in stream order. Client ids do not survive the conversion

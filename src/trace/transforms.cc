@@ -25,8 +25,9 @@ std::vector<TraceRecord> TimeWarp(const std::vector<TraceRecord>& records, doubl
   std::vector<TraceRecord> warped = records;
   for (TraceRecord& r : warped) {
     // Round half-up; x/factor is monotone in x, so order survives warping.
-    r.timestamp_us =
-        static_cast<int64_t>(std::floor(static_cast<double>(r.timestamp_us) / factor + 0.5));
+    const double us = std::floor(static_cast<double>(r.timestamp_us) / factor + 0.5);
+    MSTK_CHECK(us < 9.0e18, "TimeWarp result overflows int64 microseconds");
+    r.timestamp_us = static_cast<int64_t>(us);
   }
   return warped;
 }

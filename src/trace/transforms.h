@@ -19,7 +19,8 @@ namespace trace {
 // Time-warp (the paper's §4.3 scaling): divides every timestamp by `factor`,
 // so factor 2 halves all interarrival gaps (doubling the offered load) and
 // factor 0.5 slows the trace down. Integer microsecond timestamps round
-// half-up; order is preserved. Requires factor > 0.
+// half-up; order is preserved. Requires factor > 0, and check-fails when a
+// warped timestamp would not fit in int64 microseconds.
 std::vector<TraceRecord> TimeWarp(const std::vector<TraceRecord>& records, double factor);
 
 // How RemapToCapacity fits a trace's address footprint onto a device.

@@ -84,7 +84,7 @@ TEST(EventQueueTest, CancelChurnKeepsHeapBounded) {
     pending = next;
   }
   EXPECT_EQ(q.size(), 1);
-  EXPECT_LE(q.heap_entries(), 64 + 2);
+  EXPECT_LE(q.entries(), 64 + 2);
   EXPECT_DOUBLE_EQ(q.Pop().time_ms, 10001.0);
   EXPECT_TRUE(q.Empty());
 }

@@ -1,7 +1,8 @@
-// v1 trace front-end: format parser/writer rejection suite, scaling
-// transforms, arrival-control replay, scenario zoo, and the fidelity
-// reporter (including the oltp_burst-vs-tpcc "differs" demonstration the CI
-// gate relies on).
+// v1 trace front-end: format parser/writer rejection suite, the v0 and
+// DiskSim importers, scaling transforms, arrival-control replay, scenario
+// zoo, and the fidelity reporter (including the oltp_burst-vs-tpcc
+// "differs" demonstration the CI gate relies on).
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/trace/replay.h"
 #include "src/trace/scenarios.h"
 #include "src/trace/transforms.h"
+#include "src/workload/random_workload.h"
 #include "src/workload/tpcc_like.h"
 
 namespace mstk {
@@ -155,6 +157,12 @@ TEST(TraceTransformTest, TimeWarpCompressesGaps) {
   EXPECT_EQ(TimeWarp(SampleRecords(), 0.5)[3].timestamp_us, 2000);
 }
 
+TEST(TraceTransformTest, TimeWarpRejectsOverflow) {
+  // A tiny positive factor would push timestamps past int64; the cast
+  // would be undefined and replay would see negative arrival times.
+  EXPECT_DEATH(TimeWarp(SampleRecords(), 1e-300), "overflows");
+}
+
 TEST(TraceTransformTest, RemapScaleFitsFootprintOnDevice) {
   const std::vector<TraceRecord> mapped = RemapToCapacity(SampleRecords(), 1024, RemapMode::kScale);
   ASSERT_EQ(mapped.size(), 4u);
@@ -201,6 +209,155 @@ TEST(TraceTransformTest, MultiplyClientsInterleavesDistinctClients) {
     EXPECT_GE(r.lba, 0);
     EXPECT_LE(r.lba + r.blocks, capacity);
   }
+}
+
+// A v0 document with 15 significant digits per arrival, as v0 files were
+// written.
+std::string V0Text(const std::vector<Request>& requests) {
+  std::ostringstream out;
+  out.precision(15);
+  out << "# mstk trace: arrival_ms R|W lbn block_count\n";
+  for (const Request& req : requests) {
+    out << req.arrival_ms << ' ' << (req.is_read() ? 'R' : 'W') << ' ' << req.lbn << ' '
+        << req.block_count << '\n';
+  }
+  return out.str();
+}
+
+constexpr char kDiskSimSample[] =
+    "# DiskSim ascii trace\n"
+    "0.000000 0 1000 8 1\n"
+    "0.015000 0 2000 16 0\n"
+    "0.020000 1 3000 8 1\n"
+    "0.031000 0 64 4 3\n";
+
+TEST(TraceTest, WriteReadRoundTrip) {
+  // A v0 trace imports, goes through the v1 writer `mstk_trace gen` uses,
+  // and parses back to the same stream up to the microsecond quantum.
+  RandomWorkloadConfig config;
+  config.request_count = 500;
+  config.capacity_blocks = 6750000;
+  Rng rng(2);
+  const std::vector<Request> original = GenerateRandomWorkload(config, rng);
+  ParsedTrace imported;
+  std::string error;
+  ASSERT_TRUE(ImportV0Trace(V0Text(original), &imported, &error)) << error;
+  EXPECT_EQ(imported.version, 0);
+  EXPECT_EQ(imported.records, FromRequests(original));
+  ParsedTrace parsed;
+  ASSERT_TRUE(ParseTrace(SerializeTrace(imported.records), &parsed, &error)) << error;
+  const std::vector<Request> loaded = ToRequests(parsed);
+  ASSERT_EQ(loaded.size(), original.size());
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded[i].lbn, original[i].lbn);
+    EXPECT_EQ(loaded[i].block_count, original[i].block_count);
+    EXPECT_EQ(loaded[i].type, original[i].type);
+    EXPECT_NEAR(loaded[i].arrival_ms, original[i].arrival_ms, 1e-3);
+  }
+}
+
+TEST(TraceTest, ReadRejectsBadRecords) {
+  ParsedTrace parsed;
+  std::string error;
+  EXPECT_FALSE(ImportV0Trace("# header\n1.0 R 100 8\n2.0 X 100 8\n", &parsed, &error));
+  EXPECT_TRUE(parsed.records.empty());
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
+TEST(TraceTest, MissingFileReportsError) {
+  std::string bytes;
+  std::string error;
+  EXPECT_FALSE(ReadFileBytes("/nonexistent/mstk.trace", &bytes, &error));
+  EXPECT_FALSE(error.empty());
+  ParsedTrace parsed;
+  error.clear();
+  EXPECT_FALSE(ReadTraceFile("/nonexistent/mstk.trace", &parsed, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(TraceTest, DiskSimFormatParses) {
+  ParsedTrace all;
+  std::string error;
+  ASSERT_TRUE(ImportDiskSimTrace(kDiskSimSample, -1, &all, &error)) << error;
+  EXPECT_EQ(all.version, 0);
+  ASSERT_EQ(all.records.size(), 4u);
+  EXPECT_EQ(all.records[0].timestamp_us, 0);
+  EXPECT_EQ(all.records[0].lba, 1000);
+  EXPECT_EQ(all.records[0].blocks, 8);
+  EXPECT_EQ(all.records[0].op, IoType::kRead);
+  EXPECT_EQ(all.records[1].op, IoType::kWrite);
+  EXPECT_EQ(all.records[1].timestamp_us, 15000);
+  EXPECT_DOUBLE_EQ(ToRequests(all)[1].arrival_ms, 15.0);
+  EXPECT_EQ(all.records[3].op, IoType::kRead);  // flags bit 0
+
+  ParsedTrace dev0;
+  ASSERT_TRUE(ImportDiskSimTrace(kDiskSimSample, 0, &dev0, &error)) << error;
+  EXPECT_EQ(dev0.records.size(), 3u);
+  ParsedTrace dev1;
+  ASSERT_TRUE(ImportDiskSimTrace(kDiskSimSample, 1, &dev1, &error)) << error;
+  ASSERT_EQ(dev1.records.size(), 1u);
+  EXPECT_EQ(dev1.records[0].lba, 3000);
+}
+
+TEST(TraceTest, DiskSimFormatRejectsGarbage) {
+  ParsedTrace parsed;
+  std::string error;
+  EXPECT_FALSE(ImportDiskSimTrace("0.0 0 1000 8 1\n0.1 0 -5 8 1\n", -1, &parsed, &error));
+  EXPECT_TRUE(parsed.records.empty());
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+TEST(TraceTest, ImportRejectsBackwardsTime) {
+  ParsedTrace parsed;
+  std::string error;
+  EXPECT_FALSE(ImportV0Trace("5.0 R 1 1\n# note\n4.0 W 1 1\n", &parsed, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("backwards"), std::string::npos) << error;
+  // Time order is a property of the whole DiskSim file, so a record of a
+  // filtered-out device still counts.
+  EXPECT_FALSE(ImportDiskSimTrace("0.002 0 1 1 1\n0.001 1 1 1 1\n", 0, &parsed, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // Arrivals equal after rounding to microseconds are in order.
+  EXPECT_TRUE(ImportV0Trace("1.0002 R 1 1\n1.0001 R 1 1\n", &parsed, &error)) << error;
+}
+
+TEST(TraceTest, ImportRejectsMalformedRecords) {
+  for (const char* bad : {"nan R 1 1", "inf R 1 1", "-1 R 1 1", "1 R 1 0", "1 R 1 2000000",
+                          "1 R 1 1 extra", "1 R1 1", "1e400 R 1 1", "1e30 R 1 1"}) {
+    ParsedTrace parsed;
+    std::string error;
+    EXPECT_FALSE(ImportV0Trace(bad, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << bad << ": " << error;
+  }
+  for (const char* bad : {"0.1 0 1 1", "0.1 0 1 1 1 1", "x 0 1 1 1", "0.1 0 1 0 1"}) {
+    ParsedTrace parsed;
+    std::string error;
+    EXPECT_FALSE(ImportDiskSimTrace(bad, -1, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << bad << ": " << error;
+  }
+}
+
+TEST(TraceTest, ScaleDoublesArrivalRate) {
+  // An imported v0 trace scaled the way `mstk_trace replay` scales it.
+  ParsedTrace parsed;
+  ASSERT_TRUE(ImportV0Trace("10 R 0 1\n20 R 0 1\n40 R 0 1\n", &parsed, nullptr));
+  parsed.records = TimeWarp(parsed.records, 2.0);
+  const std::vector<Request> scaled = ToRequests(parsed);
+  ASSERT_EQ(scaled.size(), 3u);
+  EXPECT_DOUBLE_EQ(scaled[0].arrival_ms, 5.0);
+  EXPECT_DOUBLE_EQ(scaled[1].arrival_ms, 10.0);
+  EXPECT_DOUBLE_EQ(scaled[2].arrival_ms, 20.0);
+}
+
+TEST(TraceTest, ClampToCapacityDropsAndTruncates) {
+  // An imported v0 trace clamped the way `mstk_trace replay` clamps it.
+  ParsedTrace parsed;
+  ASSERT_TRUE(ImportV0Trace("0 R 10 8\n0 R 95 10\n0 R 200 4\n", &parsed, nullptr));
+  parsed.records = RemapToCapacity(parsed.records, 100, RemapMode::kClamp);
+  const std::vector<Request> clamped = ToRequests(parsed);
+  ASSERT_EQ(clamped.size(), 2u);  // the record at 200 starts beyond the device
+  EXPECT_EQ(clamped[1].block_count, 5);
+  EXPECT_EQ(clamped[1].last_lbn(), 99);
 }
 
 TEST(TraceReplayTest, ArrivalModeNamesParse) {

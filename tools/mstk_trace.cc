@@ -1,17 +1,19 @@
 // mstk_trace — command-line trace tooling.
 //
 //   mstk_trace gen <random|cello|tpcc> <out.trace> [count] [rate] [seed]
-//       Generate a synthetic workload and write it as an ASCII trace.
+//       Generate a synthetic workload and write it as a v1 trace.
 //   mstk_trace stats <in.trace>
 //       Print arrival/size/locality statistics for a trace.
 //   mstk_trace replay <in.trace> <mems|disk> <fcfs|sstf|clook|look|sptf>
 //              [scale] [open|closed|hybrid] [window]
 //       Replay a trace against a device model under a scheduler and print
 //       the paper's metrics (mean response, sigma^2/mu^2, tail). Traces in
-//       the v1 MSTKTRACE format are detected by their magic and remapped
-//       onto the device's capacity; anything else parses as a legacy ASCII
-//       trace. The optional arrival mode (default open) drives the replay
-//       through the trace front-end's arrival control (src/trace/replay.h).
+//       the v1 MSTKTRACE format are detected by their magic and their
+//       footprint is rescaled onto the device's capacity; anything else is
+//       imported as a v0 trace and clamped to the capacity. `scale` (a
+//       positive number, default 1) divides every arrival time. The
+//       optional arrival mode (default open) drives the replay through the
+//       trace front-end's arrival control (src/trace/replay.h).
 //   mstk_trace fidelity <lhs> <rhs> [--json PATH] [--require-differs]
 //              [--count N] [--seed S]
 //       Compare two workload streams on the arrival-interval, request-size,
@@ -21,6 +23,10 @@
 //       marginal differs — CI uses it to prove the reporter detects the gap
 //       between the replayed oltp_burst scenario and the steady tpcc
 //       synthetic.
+//   mstk_trace convert <in.disksim> <out.trace> [devno]
+//       Import a DiskSim ASCII trace (one device, or all with -1) and write
+//       it as a v1 trace.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +48,6 @@
 #include "src/workload/cello_like.h"
 #include "src/workload/random_workload.h"
 #include "src/workload/tpcc_like.h"
-#include "src/workload/trace.h"
 
 namespace {
 
@@ -62,16 +67,30 @@ int Usage() {
   return 2;
 }
 
-// True when `path` starts with the v1 trace magic.
-bool HasV1Magic(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
+// Loads a trace file: a v1 document when it starts with the MSTKTRACE
+// magic, otherwise a v0 import (which carries version 0).
+bool LoadTraceFile(const std::string& path, trace::ParsedTrace* out, std::string* error) {
+  std::string bytes;
+  if (!trace::ReadFileBytes(path, &bytes, error)) {
     return false;
   }
-  char buf[sizeof(trace::kTraceMagic)] = {};
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  return n == sizeof(buf) - 1 && std::memcmp(buf, trace::kTraceMagic, n) == 0;
+  const bool v1 = bytes.compare(0, std::strlen(trace::kTraceMagic), trace::kTraceMagic) == 0;
+  if (v1 ? trace::ParseTrace(bytes, out, error) : trace::ImportV0Trace(bytes, out, error)) {
+    return true;
+  }
+  *error = path + ": " + *error;
+  return false;
+}
+
+// A replay time scale: the whole token must be a finite number > 0.
+bool ParseScale(const char* text, double* scale) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+    return false;
+  }
+  *scale = value;
+  return true;
 }
 
 // Generates one of the synthetic comparison streams by name. Returns an
@@ -110,22 +129,19 @@ std::vector<Request> GenerateSynthetic(const std::string& kind, int64_t count, d
   return {};
 }
 
-// Loads a fidelity comparison stream: a synthetic generator name, a v1
-// MSTKTRACE document, or a legacy ASCII trace.
+// Loads a fidelity comparison stream: a synthetic generator name or a
+// trace file.
 std::vector<Request> LoadStream(const std::string& spec, int64_t count, uint64_t seed,
                                 std::string* error) {
   std::vector<Request> synthetic = GenerateSynthetic(spec, count, 0.0, seed);
   if (!synthetic.empty()) {
     return synthetic;
   }
-  if (HasV1Magic(spec.c_str())) {
-    trace::ParsedTrace parsed;
-    if (!trace::ReadTraceFile(spec, &parsed, error)) {
-      return {};
-    }
-    return trace::ToRequests(parsed);
+  trace::ParsedTrace parsed;
+  if (!LoadTraceFile(spec, &parsed, error)) {
+    return {};
   }
-  return ReadTraceFile(spec, error);
+  return trace::ToRequests(parsed);
 }
 
 int CmdConvert(int argc, char** argv) {
@@ -133,18 +149,25 @@ int CmdConvert(int argc, char** argv) {
     return Usage();
   }
   const int devno = argc > 4 ? std::atoi(argv[4]) : -1;
+  std::string bytes;
   std::string error;
-  const auto requests = ReadDiskSimTrace(argv[2], devno, &error);
-  if (requests.empty()) {
-    std::fprintf(stderr, "error: %s\n",
-                 error.empty() ? "no matching records" : error.c_str());
+  trace::ParsedTrace parsed;
+  if (!trace::ReadFileBytes(argv[2], &bytes, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (!WriteTraceFile(argv[3], requests)) {
-    std::fprintf(stderr, "error: cannot write %s\n", argv[3]);
+  if (!trace::ImportDiskSimTrace(bytes, devno, &parsed, &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", argv[2], error.c_str());
     return 1;
   }
-  std::printf("converted %zu requests (devno %d) to %s\n", requests.size(), devno,
+  if (parsed.records.empty()) {
+    std::fprintf(stderr, "error: no matching records\n");
+    return 1;
+  }
+  if (!WriteFileOrReport(argv[3], trace::SerializeTrace(parsed.records))) {
+    return 1;
+  }
+  std::printf("converted %zu requests (devno %d) to %s\n", parsed.records.size(), devno,
               argv[3]);
   return 0;
 }
@@ -163,8 +186,7 @@ int CmdGen(int argc, char** argv) {
   if (requests.empty()) {
     return Usage();
   }
-  if (!WriteTraceFile(path, requests)) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  if (!WriteFileOrReport(path, trace::SerializeTrace(trace::FromRequests(requests)))) {
     return 1;
   }
   std::printf("wrote %zu requests to %s\n", requests.size(), path.c_str());
@@ -177,7 +199,7 @@ int CmdStats(int argc, char** argv) {
   }
   std::string error;
   // LoadStream understands all three spellings: v1 MSTKTRACE documents,
-  // legacy ASCII traces, and synthetic generator names.
+  // v0 traces, and synthetic generator names.
   const auto requests = LoadStream(argv[2], 4000, 1, &error);
   if (requests.empty()) {
     std::fprintf(stderr, "error: %s\n", error.empty() ? "empty trace" : error.c_str());
@@ -191,7 +213,10 @@ int CmdReplay(int argc, char** argv) {
   if (argc < 5) {
     return Usage();
   }
-  const double scale = argc > 5 ? std::atof(argv[5]) : 1.0;
+  double scale = 1.0;
+  if (argc > 5 && !ParseScale(argv[5], &scale)) {
+    return Usage();
+  }
   trace::ReplayConfig replay;
   if (argc > 6 && !trace::ParseArrivalMode(argv[6], &replay.mode)) {
     return Usage();
@@ -213,32 +238,23 @@ int CmdReplay(int argc, char** argv) {
   }
 
   std::string error;
-  std::vector<Request> requests;
-  if (HasV1Magic(argv[2])) {
-    trace::ParsedTrace parsed;
-    if (!trace::ReadTraceFile(argv[2], &parsed, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    // Locality-preserving remap: the scenario's footprint rescales onto the
-    // device instead of dropping everything past the end.
-    parsed.records = trace::RemapToCapacity(parsed.records, device->CapacityBlocks(),
-                                            trace::RemapMode::kScale);
-    requests = trace::ToRequests(parsed);
-    if (scale != 1.0) {
-      requests = ScaleTrace(requests, scale);
-    }
-  } else {
-    requests = ReadTraceFile(argv[2], &error);
-    if (requests.empty()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    if (scale != 1.0) {
-      requests = ScaleTrace(requests, scale);
-    }
-    requests = ClampTraceToCapacity(requests, device->CapacityBlocks());
+  trace::ParsedTrace parsed;
+  if (!LoadTraceFile(argv[2], &parsed, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
   }
+  if (parsed.records.empty()) {
+    std::fprintf(stderr, "error: %s: no records\n", argv[2]);
+    return 1;
+  }
+  // v1 scenarios rescale their footprint onto the device, keeping locality;
+  // imported v0 traces keep their addresses, clamped to the device.
+  const trace::RemapMode remap = parsed.version == trace::kTraceVersion
+                                     ? trace::RemapMode::kScale
+                                     : trace::RemapMode::kClamp;
+  parsed.records = trace::TimeWarp(
+      trace::RemapToCapacity(parsed.records, device->CapacityBlocks(), remap), scale);
+  const std::vector<Request> requests = trace::ToRequests(parsed);
 
   SchedKind sched_kind;
   if (!ParseSchedKind(argv[4], &sched_kind)) {
